@@ -3,10 +3,9 @@
 //! Where every other bench binary measures the *simulated* system (Mb/s,
 //! interrupt rates), this one measures the *simulator*: how many
 //! scheduler events per wall-clock second the engine sustains across a
-//! fixed, seeded suite of testbed configs. Wall-clock time is legal
-//! here — `crates/bench` is not a sim crate (see `cdna-check`) — and
-//! never feeds back into simulated results. Under CDNA015
-//! (`clock-purity`) wall-clock may only reach `wall_ms*` fields; the
+//! fixed, seeded suite of testbed configs. Wall-clock time is legal in
+//! this harness and never feeds back into simulated results. Under
+//! CDNA015 (`clock-purity`) wall-clock may only reach `wall_ms*` fields; the
 //! derived-rate fields (`events_per_sec`, `ns_per_event`) carry
 //! documented allows below, and everything else in `BENCH.json` is
 //! provably clock-free.
@@ -33,6 +32,10 @@
 //! meaningful for relative comparisons but contended at `jobs > 1` —
 //! while `aggregate.wall_ms_parallel` is the whole suite's elapsed
 //! wall-clock, the number the fan-out actually improves.
+#![expect(
+    clippy::disallowed_types,
+    reason = "measures the simulator's own wall-clock speed"
+)]
 
 use std::time::Instant;
 
@@ -95,7 +98,8 @@ fn measure(entry: PerfEntry, reps: u32) -> Measured {
             ),
         }
     }
-    let (events_processed, throughput_mbps, protection_faults) = outcome.expect("reps >= 1"); // loop runs at least once
+    #[expect(clippy::expect_used, reason = "the loop runs at least once")]
+    let (events_processed, throughput_mbps, protection_faults) = outcome.expect("reps >= 1");
     walls.sort_by(|a, b| a.total_cmp(b));
     let median = if walls.len() % 2 == 1 {
         walls[walls.len() / 2]

@@ -16,9 +16,11 @@
 //! `--trace <path>` writes the run as Chrome `trace_event` JSON — open
 //! it at <https://ui.perfetto.dev> or `chrome://tracing`. `--metrics`
 //! appends the full per-domain counter table to the report. `--shadow`
-//! attaches the `cdna-check` DMA shadow checker (audit results appear
-//! in the `global/check/*` counters and as a `shadow_audit` trace
-//! instant).
+//! attaches the `cdna_core::shadow` DMA shadow checker (audit results
+//! appear in the `global/check/*` counters and as a `shadow_audit`
+//! trace instant). A configuration the testbed cannot build (e.g. more
+//! CDNA guests than contexts, zero NICs or connections) is reported
+//! with the offending field and exits 2.
 
 use cdna_core::DmaPolicy;
 use cdna_system::{run_instrumented, Direction, Instrumentation, IoModel, NicKind, TestbedConfig};
@@ -148,6 +150,10 @@ fn main() {
         }
     }
 
+    if let Err(e) = cfg.validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
     let instr = Instrumentation {
         trace_capacity: trace_path.as_ref().map(|_| TRACE_CAPACITY),
         collect_metrics: metrics,

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Benchmark harness regenerating every table and figure of the CDNA
 //! paper, plus the paper's reported values for comparison.
 //!

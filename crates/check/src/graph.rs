@@ -1,13 +1,12 @@
 //! The workspace symbol graph and the interprocedural pass framework.
 //!
-//! [`SymbolGraph`] aggregates every file's [`FileSymbols`] plus the
-//! crate-level dependency edges read from manifests. Function calls are
-//! resolved *by name within the workspace*: `mem.pin_run(…)` resolves
-//! to every workspace `fn pin_run` — imprecise in general, exactly
-//! right for this codebase where the protection primitives have unique
-//! names. Passes ([`Pass`]) run over the whole graph and return
-//! ordinary [`Diagnostic`]s, so their findings flow through the same
-//! allow/report machinery as the token rules.
+//! [`SymbolGraph`] aggregates every file's [`FileSymbols`]. Function
+//! calls are resolved *by name within the workspace*: `mem.pin_run(…)`
+//! resolves to every workspace `fn pin_run` — imprecise in general,
+//! exactly right for this codebase where the protection primitives have
+//! unique names. Passes ([`Pass`]) run over the whole graph and return
+//! ordinary [`Diagnostic`]s, so their findings flow through one
+//! allow/report pipeline.
 
 use crate::parse::{FileSymbols, FnSym};
 use crate::rules::{Diagnostic, FileKind};
@@ -17,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// set the passes need for exemptions.
 #[derive(Debug, Clone)]
 pub struct GraphFile {
-    /// Parsed symbol summary (path, uses, fns, matches).
+    /// Parsed symbol summary (path, crate, fns).
     pub symbols: FileSymbols,
     /// How the file is classified (library / test / binary).
     pub kind: FileKind,
@@ -40,44 +39,25 @@ impl GraphFile {
     }
 }
 
-/// A crate-level dependency edge harvested from a `Cargo.toml`.
-#[derive(Debug, Clone)]
-pub struct ManifestDep {
-    /// Depending crate's key (e.g. `system`).
-    pub from: String,
-    /// Depended-on crate's key (e.g. `sim`).
-    pub to: String,
-    /// Repo-relative manifest path.
-    pub file: String,
-    /// 1-based line of the dependency entry.
-    pub line: u32,
-}
-
 /// The whole-workspace symbol graph.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolGraph {
     /// Every scanned source file.
     pub files: Vec<GraphFile>,
-    /// Crate dependency edges from manifests.
-    pub manifest_deps: Vec<ManifestDep>,
     /// fn name → (file index, fn index) for name resolution.
     fn_index: BTreeMap<String, Vec<(usize, usize)>>,
 }
 
 impl SymbolGraph {
     /// Builds the graph and the name-resolution index.
-    pub fn build(files: Vec<GraphFile>, manifest_deps: Vec<ManifestDep>) -> Self {
+    pub fn build(files: Vec<GraphFile>) -> Self {
         let mut fn_index: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
         for (fi, f) in files.iter().enumerate() {
             for (gi, g) in f.symbols.fns.iter().enumerate() {
                 fn_index.entry(g.name.clone()).or_default().push((fi, gi));
             }
         }
-        SymbolGraph {
-            files,
-            manifest_deps,
-            fn_index,
-        }
+        SymbolGraph { files, fn_index }
     }
 
     /// Workspace functions with the given name (name resolution).

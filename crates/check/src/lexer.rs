@@ -1,7 +1,7 @@
 //! A minimal hand-rolled Rust source scanner.
 //!
-//! The static pass does not need a real parser: every rule it enforces
-//! is visible at the token level once comments and string literals are
+//! The static passes do not need a real parser: what they look at is
+//! visible at the token level once comments and string literals are
 //! out of the way. This module provides the passes the rules build on:
 //!
 //! 1. [`scrub`] — replaces comments and string/char-literal *contents*
@@ -31,9 +31,9 @@ pub struct AllowEntry {
 /// Syntax, anywhere inside a `//` or `/* */` comment:
 ///
 /// ```text
-/// // cdna-check: allow(panic)
-/// // cdna-check: allow(panic, nondeterministic-map): justification
-/// // cdna-check: allow-file(sim-time): justification
+/// // cdna-check: allow(guest-taint)
+/// // cdna-check: allow(guest-taint, lock-order): justification
+/// // cdna-check: allow-file(clock-purity): justification
 /// ```
 ///
 /// A line-scoped `allow` suppresses diagnostics on its own line and the

@@ -1,46 +1,42 @@
-//! cdna-check: hermetic static analysis + dynamic DMA-invariant
-//! checking for the CDNA workspace.
+//! cdna-check: domain-specific static analysis for the CDNA workspace.
 //!
-//! CDNA's safety argument rests on invariants — strictly increasing
-//! sequence numbers, page-ownership validation, pins that outlive
-//! in-flight DMA — that historically lived only implicitly in
-//! `cdna-core`'s protection engine and `cdna-mem`'s page pool. This
-//! crate makes them mechanically checkable, twice over:
+//! CDNA's safety argument rests on the hypervisor's DMA protection —
+//! page-ownership validation, pins that outlive in-flight DMA, strictly
+//! increasing sequence numbers — and the simulator's value rests on
+//! `--jobs 1 ≡ --jobs N` byte-identical reports. This crate checks the
+//! parts of both that no compiler lint can see:
 //!
-//! * **Static pass** ([`rules`], on top of [`lexer`]): a hand-rolled
-//!   token scanner that walks the workspace and enforces the repo's
-//!   correctness rules — no wall-clock time in simulation code, no
-//!   nondeterministic map iteration, no panics in library code, no
-//!   `unsafe`, no external-registry dependencies, no undocumented
-//!   public items. Violations can be suppressed in-source with
-//!   `// cdna-check: allow(<rule>)` annotations; an annotation that
-//!   suppresses nothing is itself a `unused-allow` warning.
 //! * **Symbol-graph pass** ([`parse`], [`graph`], [`analyses`]): an
-//!   item-level parser extracts per-crate symbols (`use` edges, `fn`
-//!   call sites, `match` summaries) and three interprocedural rules run
-//!   over the whole workspace at once — `layering` (the crate DAG must
-//!   flow strictly downward), `must-pair` (every pin reaches an unpin/
-//!   reap on all non-panic paths, via a CFG-lite token walk), and
-//!   `exhaustive-fault` (no wildcard `match` on `FaultKind`/`MemError`/
-//!   `ShadowViolation`).
-//! * **Determinism-soundness passes** ([`determinism`], on the
-//!   [`dataflow`] substrate): `merge-order`, `clock-purity`,
-//!   `jobs-leak`, and `float-accum` prove the repo's
-//!   `--jobs 1 ≡ --jobs N` byte-identity guarantee over the code
+//!   item-level parser extracts per-crate `fn` items and call sites,
+//!   and `must-pair` (CDNA009) proves every pin reaches an unpin/reap
+//!   on all non-panic paths, via a CFG-lite token walk.
+//! * **Dataflow passes** ([`dataflow`], [`taint`], [`locks`]):
+//!   `guest-taint` (CDNA011) follows guest-controlled values to pin,
+//!   DMA and ring sinks; `lock-order` (CDNA012) finds lock-order cycles
+//!   and locks held across calls that lock.
+//! * **Determinism-soundness passes** ([`determinism`]):
+//!   `merge-order`, `clock-purity`, `jobs-leak`, and `float-accum`
+//!   (CDNA014–017) prove the byte-identity guarantee over the code
 //!   instead of sampling it with differential tests. The scanner also
 //!   eats the dogfood: [`analyses::analyze_jobs`] shards per-file work
 //!   over `cdna_sim::par` and merges in path order, so its own report
 //!   is byte-identical at any worker count.
-//! * **Dynamic pass** ([`shadow`]): a [`DmaShadow`] that mirrors every
-//!   page through the `Free → Owned → Pinned → InFlight → Completed`
-//!   lifecycle and every context's sequence stream, independently
-//!   re-checking what the protection path claims at runtime.
 //!
-//! Both run under `cargo test` and as the `cdna-check` binary
-//! (`cargo run -p cdna-check`), which exits non-zero on any violation
-//! and can emit a machine-readable JSON report ([`report`]).
-
-#![warn(missing_docs)]
+//! The general code rules this crate once re-implemented on its own
+//! lexer — no wall clock or hash maps in simulation code, no panics in
+//! library code, no `unsafe`, documented public items, exhaustive fault
+//! matches, hermetic and layered dependencies — are rustc and clippy
+//! lints in `[workspace.lints]` plus a `Cargo.lock` test now;
+//! [`rules::RETIRED`] and DESIGN.md §9 map each retired code to its
+//! replacement. The run-time DMA mirror lives next to the protection
+//! engine, in `cdna_core::shadow`.
+//!
+//! Violations can be suppressed in-source with
+//! `// cdna-check: allow(<rule>)` annotations. An annotation is an
+//! expectation: one that suppresses nothing is reported under the rule
+//! it names. Everything runs under `cargo test` and as the `cdna-check`
+//! binary (`cargo run -p cdna-check`), which exits non-zero on any
+//! violation and can emit a machine-readable JSON report ([`report`]).
 
 pub mod analyses;
 pub mod calibrate;
@@ -52,17 +48,12 @@ pub mod locks;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod shadow;
 pub mod taint;
 
 pub use analyses::{analyze, analyze_jobs, Analysis, SourceFile};
 pub use report::render_json;
 pub use rules::check_repo_jobs;
-pub use rules::{
-    check_manifest, check_repo, check_source, rule_code, rule_severity, Diagnostic, FileKind,
-    StaticReport, RULE_NAMES,
-};
-pub use shadow::{DmaShadow, ShadowDir, ShadowState, ShadowViolation, ViolationKind};
+pub use rules::{check_repo, rule_code, Diagnostic, FileKind, StaticReport, RULE_NAMES};
 
 use std::path::PathBuf;
 

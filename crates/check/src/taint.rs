@@ -5,9 +5,9 @@
 //! hypercall arguments) must pass a validation primitive before it
 //! reaches a privileged sink — a page pin/unpin, a DMA issue, or a
 //! descriptor-ring store. This pass proves the discipline statically
-//! for all paths, complementing the runtime [`crate::shadow`] mirror
-//! and the planned fuzzing campaign (ROADMAP item 5), which only cover
-//! executed paths.
+//! for all paths, complementing the run-time `cdna_core::shadow`
+//! mirror and the `cdna-fuzz` campaign, which only cover executed
+//! paths.
 //!
 //! The model is deliberately simple and token-linear, mirroring the
 //! codebase's own style rules (validation is always sequenced before

@@ -80,13 +80,10 @@ pub fn arrival(jobs: usize, items: Vec<u64>) -> Vec<u64> {
     out.into_inner().unwrap_or_default()
 }
 ";
-    let analysis = analyze(
-        &[
-            lib("crates/sim/src/par.rs", par),
-            lib("crates/model/src/m.rs", merge),
-        ],
-        &[],
-    );
+    let analysis = analyze(&[
+        lib("crates/sim/src/par.rs", par),
+        lib("crates/model/src/m.rs", merge),
+    ]);
     let hits: Vec<_> = analysis
         .diagnostics
         .iter()
@@ -123,13 +120,10 @@ pub fn emit(w: &mut JsonWriter) {
     w.number_f64(ms);
 }
 ";
-    let analysis = analyze(
-        &[
-            lib("crates/trace/src/json.rs", trace),
-            lib("crates/bench/src/timing.rs", timing),
-        ],
-        &[],
-    );
+    let analysis = analyze(&[
+        lib("crates/trace/src/json.rs", trace),
+        lib("crates/bench/src/timing.rs", timing),
+    ]);
     let hits: Vec<_> = analysis
         .diagnostics
         .iter()

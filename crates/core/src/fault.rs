@@ -30,10 +30,10 @@ pub enum FaultKind {
         /// The unmapped page the DMA touched.
         page: PageId,
     },
-    /// The out-of-band DMA shadow checker (`cdna-check`) observed the
-    /// live system diverging from its mirrored page/sequence state.
-    /// `code` is the checker's stable violation code
-    /// (`cdna_check::shadow::ViolationKind::code`).
+    /// The out-of-band DMA shadow checker ([`crate::shadow::DmaShadow`])
+    /// observed the live system diverging from its mirrored
+    /// page/sequence state. `code` is the checker's stable violation
+    /// code ([`crate::shadow::ViolationKind::code`]).
     ShadowViolation {
         /// Stable violation-class code from the shadow checker.
         code: u32,
@@ -72,7 +72,7 @@ impl FaultKind {
     }
 
     /// For [`FaultKind::ShadowViolation`], the shadow checker's stable
-    /// violation-class code (`cdna_check::shadow::ViolationKind::code`);
+    /// violation-class code ([`crate::shadow::ViolationKind::code`]);
     /// `None` for device-reported faults.
     pub fn shadow_code(&self) -> Option<u32> {
         match self {

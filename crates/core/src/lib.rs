@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! The CDNA architecture — the primary contribution of *Concurrent
 //! Direct Network Access for Virtual Machine Monitors* (HPCA 2007).
 //!
@@ -21,6 +19,10 @@
 //!   descriptor with a strictly increasing sequence number the NIC
 //!   verifies before use; stale descriptors raise a per-guest
 //!   [`ProtectionFault`] (§3.3).
+//! * **Run-time invariant mirror** ([`shadow::DmaShadow`]) — an
+//!   optional observer that tracks every page through its
+//!   ownership/pin/DMA lifecycle and every context's sequence stream,
+//!   independently re-checking what the protection path claims.
 //!
 //! The device side that consumes these protocols is `cdna-ricenic`; the
 //! hypervisor that hosts the [`ProtectionEngine`] is `cdna-xen`.
@@ -33,6 +35,7 @@ mod iommu;
 pub mod layout;
 mod protection;
 mod seqnum;
+pub mod shadow;
 
 pub use bitvec::{BitVectorRing, InterruptBitVector, VectorPort};
 pub use context::{ContextError, ContextId, ContextState, ContextTable, CTX_COUNT};

@@ -1,4 +1,4 @@
-//! `DmaShadow` — the dynamic half of cdna-check.
+//! `DmaShadow` — a run-time mirror of the DMA protection invariants.
 //!
 //! The CDNA protection path (`cdna-core`'s `ProtectionEngine` over
 //! `cdna-mem`'s `PhysMem`) *claims* a set of invariants: every DMA
@@ -21,7 +21,7 @@
 //! periodic [`DmaShadow::audit_mem`] / [`DmaShadow::audit_pinned`]
 //! passes cross-check mirror against reality.
 
-use cdna_core::ContextId;
+use crate::ContextId;
 use cdna_mem::{DomainId, PageId, PhysMem};
 use std::collections::BTreeMap;
 

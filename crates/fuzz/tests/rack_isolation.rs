@@ -31,6 +31,10 @@ fn rack_cfg() -> RackConfig {
 
 /// The host-0 attack hook: assigns a ghost context on round 0, then
 /// pokes it (and deliberately bogus contexts/mailboxes) each round.
+#[expect(
+    clippy::expect_used,
+    reason = "test setup: a failure here is the test failing"
+)]
 fn attack_hook(
     ghost: &Mutex<Option<ContextId>>,
 ) -> impl Fn(usize, u64, &mut Simulation<SystemWorld>) + Sync + '_ {

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Physical memory model for the CDNA reproduction.
 //!
 //! CDNA's DMA memory protection (paper §3.3) is built on three host-memory

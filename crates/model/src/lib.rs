@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! cdna-model: bounded exhaustive schedule exploration for the CDNA
 //! DMA protection protocol.
 //!

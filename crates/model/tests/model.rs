@@ -6,6 +6,10 @@ use cdna_mem::mutation::{self, MutationKind};
 use cdna_model::{default_matrix, explore, ExploreConfig};
 
 /// A small matrix cell by label substring.
+#[expect(
+    clippy::expect_used,
+    reason = "test setup: a failure here is the test failing"
+)]
 fn job(label_part: &str) -> ExploreConfig {
     let jobs = default_matrix(600, 25, 64, 2000);
     jobs.into_iter()

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Network primitives for the CDNA reproduction.
 //!
 //! This crate provides the pieces of the networking substrate that are

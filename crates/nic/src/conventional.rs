@@ -299,7 +299,8 @@ impl ConventionalNic {
             debug_assert!(head.frames_left > 0);
             head.frames_left -= 1;
             if head.frames_left == 0 {
-                let done = self.inflight.pop_front().expect("nonempty"); // cdna-check: allow(panic): guarded by frames_left
+                #[expect(clippy::expect_used, reason = "guarded by frames_left")]
+                let done = self.inflight.pop_front().expect("nonempty");
                 self.tx_completed = done.idx + 1;
                 completed_any = true;
                 // Consumer-index writeback to host memory.
@@ -396,13 +397,14 @@ impl ConventionalNic {
             let desc = rings.read(self.tx_ring, idx)?;
             self.tx_fetched += 1;
 
+            #[expect(clippy::expect_used, reason = "tx descriptors always carry meta")]
             let meta = desc
                 .meta
-                .expect("transmit descriptor without frame metadata"); // cdna-check: allow(panic): tx descriptors always carry meta
-                                                                       // Segment in place rather than materializing a per-descriptor
-                                                                       // segment list: a TSO super-buffer becomes MSS-sized chunks
-                                                                       // plus a remainder, a plain descriptor exactly one frame
-                                                                       // (even a zero-payload pure ACK).
+                .expect("transmit descriptor without frame metadata");
+            // Segment in place rather than materializing a per-descriptor
+            // segment list: a TSO super-buffer becomes MSS-sized chunks
+            // plus a remainder, a plain descriptor exactly one frame
+            // (even a zero-payload pure ACK).
             let is_tso = desc.flags.contains(DescFlags::TSO);
             let frames = if is_tso {
                 assert!(self.cfg.tso, "TSO descriptor on non-TSO device");
@@ -555,22 +557,21 @@ mod tests {
             .write_at(0, DmaDescriptor::rx(buf));
         nic.rx_doorbell(1);
         let frame = Frame::tcp_data(MacAddr::for_peer(0), nic.mac(), 1460, FlowId::new(0, 0), 0);
-        match nic
+        let disposition = nic
             .frame_from_wire(SimTime::ZERO, frame, &rings, &mut bus)
-            .unwrap()
-        {
-            RxDisposition::Delivered {
-                buf: got,
-                at,
-                irq_at,
-                ..
-            } => {
-                assert_eq!(got, buf);
-                assert!(at > SimTime::ZERO);
-                assert!(irq_at.is_some());
-            }
-            other => panic!("expected delivery, got {other:?}"),
-        }
+            .unwrap();
+        let RxDisposition::Delivered {
+            buf: got,
+            at,
+            irq_at,
+            ..
+        } = disposition
+        else {
+            panic!("expected delivery, got {disposition:?}");
+        };
+        assert_eq!(got, buf);
+        assert!(at > SimTime::ZERO);
+        assert!(irq_at.is_some());
         assert_eq!(nic.rx_consumer(), 1);
         assert_eq!(nic.rx_available(), 0);
     }

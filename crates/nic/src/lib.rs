@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Generic network-interface substrate for the CDNA reproduction.
 //!
 //! The pieces every NIC model in this workspace shares:

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Deterministic multi-host rack simulation (`cdna-rack`).
 //!
 //! The paper evaluates CDNA on one host; this crate scales the same
@@ -87,7 +85,7 @@ impl RackWorkload {
     fn direction(self) -> Direction {
         match self {
             RackWorkload::RxPeer => Direction::Receive,
-            _ => Direction::Transmit,
+            RackWorkload::XHost | RackWorkload::TxPeer => Direction::Transmit,
         }
     }
 }

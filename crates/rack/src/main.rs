@@ -15,6 +15,10 @@
 //! `--stdout` prints the single-scenario rack report JSON instead of
 //! the suite file, which is what the CI equality guard diffs across
 //! worker counts.
+#![expect(
+    clippy::disallowed_types,
+    reason = "measures the rack's own wall-clock speed"
+)]
 
 use std::time::Instant;
 
@@ -187,6 +191,13 @@ fn main() {
         }
         v
     };
+
+    for cfg in &scenarios {
+        if let Err(e) = cfg.host_config(0).validate() {
+            eprintln!("invalid configuration: {e}");
+            std::process::exit(2);
+        }
+    }
 
     let jobs = par::resolve_jobs(jobs_flag, scenarios.len().max(2));
     eprintln!(

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! RiceNIC device model running the CDNA firmware (paper §4).
 //!
 //! The RiceNIC is a programmable FPGA-based gigabit NIC with two embedded

@@ -23,6 +23,10 @@ fn fix() -> Fix {
     }
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "test setup: a failure here is the test failing"
+)]
 fn attach(f: &mut Fix, ctx: ContextId, ring_size: u32) -> (RingId, RingId) {
     let tx = f
         .rings
@@ -34,6 +38,10 @@ fn attach(f: &mut Fix, ctx: ContextId, ring_size: u32) -> (RingId, RingId) {
     (tx, rx)
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "test setup: a failure here is the test failing"
+)]
 fn fill_tx(f: &mut Fix, ctx: ContextId, ring: RingId, count: u64, ring_size: u32, payload: u32) {
     for i in 0..count {
         let meta = FrameMeta {
@@ -85,7 +93,7 @@ fn three_contexts_with_deep_backlogs_share_the_buffer_fairly() {
     // ctx1's head start (it was alone when it doorbelled, and the packet
     // buffer holds 128 KB); fairness is a steady-state property, so count
     // the 300 frames after that warm-up.
-    let mut counts = std::collections::HashMap::new();
+    let mut counts = std::collections::BTreeMap::new();
     let mut drained = 0;
     while let Some(e) = queue.pop_front() {
         drained += 1;

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Discrete-event simulation engine used by the CDNA reproduction.
 //!
 //! The engine is deliberately small and deterministic: a monotone event

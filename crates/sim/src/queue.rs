@@ -96,7 +96,7 @@ impl<E> Ord for Queued<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         match self.at.cmp(&other.at) {
             std::cmp::Ordering::Equal => self.seq.cmp(&other.seq),
-            ord => ord,
+            ord @ (std::cmp::Ordering::Less | std::cmp::Ordering::Greater) => ord,
         }
     }
 }

@@ -1,6 +1,8 @@
 //! Testbed configuration.
 
-use cdna_core::DmaPolicy;
+use std::fmt;
+
+use cdna_core::{DmaPolicy, CTX_COUNT};
 use cdna_ricenic::RiceNicConfig;
 use cdna_sim::{QueueKind, SimTime};
 
@@ -122,7 +124,7 @@ pub struct TestbedConfig {
     /// remaining `guests - idle_guests` victims run the normal workload.
     /// Zero (the default) reproduces the paper's configurations exactly.
     pub idle_guests: u16,
-    /// Run the `cdna-check` DMA shadow checker alongside the
+    /// Run the [`cdna_core::shadow::DmaShadow`] checker alongside the
     /// simulation: mirror page ownership/pinning and per-context
     /// descriptor sequence streams, and cross-check the mirror against
     /// the live [`cdna_mem::PhysMem`] and protection engine at
@@ -222,6 +224,35 @@ impl TestbedConfig {
         self
     }
 
+    /// Checks that the testbed can be built from this configuration.
+    ///
+    /// [`SystemWorld::build`](crate::SystemWorld::build) and everything
+    /// that calls it assume a valid config; command-line front ends call
+    /// this first so bad input is a typed error instead of a panic. The
+    /// paper's configurations are all valid.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.nics == 0 {
+            return Err(ConfigError::Zero { field: "nics" });
+        }
+        if self.conns_per_guest == 0 {
+            return Err(ConfigError::Zero {
+                field: "conns_per_guest",
+            });
+        }
+        // Each CDNA guest takes one context on every NIC; context 0 is
+        // the hypervisor's.
+        let max_guests = CTX_COUNT as u64 - 1;
+        if matches!(self.io_model, IoModel::Cdna { .. }) && u64::from(self.guests) > max_guests {
+            return Err(ConfigError::TooLarge {
+                field: "guests",
+                value: u64::from(self.guests),
+                max: max_guests,
+                why: "each CDNA guest needs one of the NIC's assignable contexts",
+            });
+        }
+        Ok(())
+    }
+
     /// Whether this run has a driver domain on the data path.
     pub fn uses_driver_domain(&self) -> bool {
         matches!(self.io_model, IoModel::XenBridged { .. })
@@ -232,6 +263,47 @@ impl TestbedConfig {
         !matches!(self.io_model, IoModel::Native { .. })
     }
 }
+
+/// Why [`TestbedConfig::validate`] rejected a configuration. Every
+/// variant names the offending [`TestbedConfig`] field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A count that must be at least one is zero.
+    Zero {
+        /// The offending field.
+        field: &'static str,
+    },
+    /// A count exceeds what the modelled hardware supports.
+    TooLarge {
+        /// The offending field.
+        field: &'static str,
+        /// The configured value.
+        value: u64,
+        /// The largest supported value.
+        max: u64,
+        /// Which hardware limit sets `max`.
+        why: &'static str,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Zero { field } => write!(f, "`{field}` must be at least 1"),
+            ConfigError::TooLarge {
+                field,
+                value,
+                max,
+                why,
+            } => write!(
+                f,
+                "`{field}` is {value}, but at most {max} is supported: {why}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -261,7 +333,7 @@ mod tests {
             }
             .label(),
         ];
-        let set: std::collections::HashSet<_> = labels.iter().collect();
+        let set: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(set.len(), labels.len());
     }
 

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Full-testbed assembly for the CDNA reproduction.
 //!
 //! This crate wires the substrates — discrete-event engine, memory,
@@ -36,7 +34,7 @@ mod workload;
 mod world;
 
 pub use cdna_sim::QueueKind;
-pub use config::{Direction, IoModel, NicKind, TestbedConfig};
+pub use config::{ConfigError, Direction, IoModel, NicKind, TestbedConfig};
 pub use costs::CostModel;
 pub use diff::victim_digest;
 pub use report::{Comparison, RunReport};

@@ -14,12 +14,16 @@
 //! here (a lost mailbox, an unassigned context in the run queue) means
 //! the simulated machine itself is inconsistent. Those states abort the
 //! run immediately rather than produce a silently wrong benchmark.
-// cdna-check: allow-file(panic): simulation top level — invariant
-// breaks abort the run; there is no caller to return an error to.
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "simulation top level: invariant breaks abort the run; there is no caller to return an error to"
+)]
 
 use std::collections::VecDeque;
 
-use cdna_check::shadow::{DmaShadow, ShadowDir, ShadowState};
+use cdna_core::shadow::{DmaShadow, ShadowDir, ShadowState};
 use cdna_core::{
     layout::Mailbox, BitVectorRing, ContextId, DmaPolicy, FaultKind, ProtectionEngine,
     ProtectionFault,
@@ -210,7 +214,7 @@ impl HotIds {
     }
 }
 
-/// Live state of the `cdna-check` DMA shadow checker
+/// Live state of the [`cdna_core::shadow::DmaShadow`] checker
 /// ([`TestbedConfig::shadow_check`]).
 ///
 /// The world feeds the shadow by *reconciliation* rather than by inline
@@ -410,7 +414,15 @@ impl SystemWorld {
 
     /// Builds the machine described by `cfg` with all domains, NICs,
     /// rings, pools, and initial receive posting in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`TestbedConfig::validate`]; front ends
+    /// validate first and report the [`crate::ConfigError`] instead.
     pub fn build(cfg: TestbedConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid testbed config: {e}");
+        }
         let guests = if cfg.is_virtualized() { cfg.guests } else { 1 };
         // Trailing idle guests keep their full device plumbing but get
         // no workload: prime() never wakes them and per-guest reporting
@@ -559,7 +571,7 @@ impl SystemWorld {
                     for i in 0..nic_count {
                         let ctx = engines[i]
                             .assign_context(dom, policy, cfg.ring_size, &mut rings, &mut mem)
-                            .expect("context assignment");
+                            .expect("validate() caps CDNA guests at the assignable contexts");
                         let st = engines[i].contexts().state(ctx).expect("assigned");
                         let NicSlot::Rice(dev) = &mut nics[i] else {
                             unreachable!("CDNA mode uses RiceNICs");

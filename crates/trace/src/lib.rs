@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Observability substrate for the CDNA reproduction.
 //!
 //! The paper's entire evaluation is observability output: Xenoprof

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Paravirtualizing hypervisor substrate (Xen-like), as required by the
 //! CDNA paper's baseline and by CDNA itself.
 //!

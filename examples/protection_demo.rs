@@ -12,6 +12,12 @@
 //! cargo run --release --example protection_demo
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a demo: a step that does not go as described aborts it"
+)]
+
 use cdna_core::{
     layout::Mailbox, DmaPolicy, ProtectionEngine, ProtectionError, RxRequest, TxRequest,
 };

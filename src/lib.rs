@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Umbrella crate for the CDNA reproduction workspace.
 //!
 //! Re-exports every member crate so the integration tests in `tests/`

@@ -31,6 +31,10 @@ fn bench() -> Bench {
     }
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "test setup: a failure here is the test failing"
+)]
 fn attach(b: &mut Bench, guest: DomainId) -> cdna_core::ContextId {
     let ctx = b
         .engine
@@ -43,6 +47,10 @@ fn attach(b: &mut Bench, guest: DomainId) -> cdna_core::ContextId {
     ctx
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "test setup: a failure here is the test failing"
+)]
 fn tx_req(b: &mut Bench, owner: DomainId, ctx: cdna_core::ContextId) -> TxRequest {
     let page = b.mem.alloc(owner).unwrap();
     TxRequest {
