@@ -156,75 +156,31 @@ pub struct Analysis {
     pub call_edges: usize,
 }
 
-/// Everything one file contributes to the pipeline, produced by
-/// [`scan_file`] on whichever worker picked the file up. Merging these
-/// in path order (the caller's file order is sorted) makes the whole
-/// analysis independent of the worker count — the property CDNA014
-/// demands of every other fan-out in the workspace.
-struct FileScan {
-    rel: String,
-    graph_file: GraphFile,
-    allows: Allows,
-}
-
-/// The per-file half of the pipeline: scrub, tokenize, symbol parse,
-/// allow harvest. Pure function of the file — safe to
-/// run on any worker.
-fn scan_file(f: &SourceFile) -> FileScan {
-    let scrubbed = scrub(&f.text);
-    let tokens = tokenize(&scrubbed.masked);
-    let tests = test_lines(&tokens);
-    FileScan {
-        rel: f.rel.clone(),
-        graph_file: GraphFile {
-            symbols: parse_file(&f.rel, &tokens),
-            kind: f.kind,
-            test_lines: tests,
-            strings: scrubbed.strings,
-        },
-        allows: scrubbed.allows,
-    }
-}
-
 /// Runs the complete pipeline over in-memory sources: symbol-graph
 /// passes, allow suppression with "used" accounting, and the stale
-/// escape audit — on a single worker.
+/// escape audit.
 pub fn analyze(files: &[SourceFile]) -> Analysis {
-    analyze_jobs(files, 1)
-}
-
-/// [`analyze`], with the per-file work sharded over `jobs` workers of
-/// the `cdna_sim::par` pool. Results are merged in `files` order
-/// (index-ordered slots inside [`cdna_sim::par::run_indexed`]), so the
-/// analysis — and the serialized report built from it — is
-/// byte-identical at any worker count. The whole-workspace graph
-/// passes stay on the caller's thread: they need every file at once
-/// and are a small share of the wall time.
-pub fn analyze_jobs(files: &[SourceFile], jobs: usize) -> Analysis {
     let mut graph_files: Vec<GraphFile> = Vec::new();
     let mut per_file_allows: BTreeMap<String, (Allows, Vec<bool>)> = BTreeMap::new();
     let mut allow_count = 0usize;
-
-    let scans =
-        cdna_sim::par::run_indexed(jobs, (0..files.len()).collect::<Vec<usize>>(), |_, i| {
-            scan_file(&files[i])
+    for f in files {
+        let scrubbed = scrub(&f.text);
+        let tokens = tokenize(&scrubbed.masked);
+        graph_files.push(GraphFile {
+            symbols: parse_file(&f.rel, &tokens),
+            kind: f.kind,
+            test_lines: test_lines(&tokens),
         });
-    for scan in scans {
-        graph_files.push(scan.graph_file);
-        allow_count += scan.allows.count();
-        let used = vec![false; scan.allows.count()];
-        per_file_allows.insert(scan.rel, (scan.allows, used));
+        allow_count += scrubbed.allows.count();
+        let used = vec![false; scrubbed.allows.count()];
+        per_file_allows.insert(f.rel.clone(), (scrubbed.allows, used));
     }
 
     let graph = SymbolGraph::build(graph_files);
-    let passes: [&dyn Pass; 7] = [
+    let passes: [&dyn Pass; 3] = [
         &MustPairPass,
         &crate::taint::GuestTaintPass,
         &crate::locks::LockOrderPass,
-        &crate::determinism::MergeOrderPass,
-        &crate::determinism::ClockPurityPass,
-        &crate::determinism::JobsLeakPass,
-        &crate::determinism::FloatAccumPass,
     ];
     let raw = crate::graph::run_passes(&graph, &passes);
 
@@ -260,9 +216,9 @@ pub fn analyze_jobs(files: &[SourceFile], jobs: usize) -> Analysis {
                 if entry.file_wide { "-file" } else { "" }
             );
             let message = match crate::rules::replacement(rule) {
-                Some(lint) => format!(
-                    "{escape} names a rule now enforced by {lint}; use \
-                     `#[expect(<lint>, reason = \"…\")]` instead"
+                Some(gate) => format!(
+                    "{escape} names a retired rule now enforced by {gate}; remove \
+                     the escape (lint exceptions are `#[expect(<lint>, reason = \"…\")]`)"
                 ),
                 None => format!("{escape} suppresses no diagnostic; remove the stale escape"),
             };
@@ -337,16 +293,24 @@ mod tests {
     #[test]
     fn stale_escapes_are_reported_under_their_rule() {
         // The first escape covers the real leak on line 4; the second
-        // suppresses nothing; the third names a retired rule.
-        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n} // cdna-check: allow(must-pair): fixture\nfn f() {\n    y(); // cdna-check: allow(must-pair): stale\n    x.unwrap(); // cdna-check: allow(panic): retired\n}\n";
+        // suppresses nothing; the third and fourth name retired rules,
+        // one replaced by a lint and one by the jobs-equality gates.
+        let src = "//! Doc.\nfn leak(m: &mut M) {\n    m.pin_run(s, l);\n} // cdna-check: allow(must-pair): fixture\nfn f() {\n    y(); // cdna-check: allow(must-pair): stale\n    x.unwrap(); // cdna-check: allow(panic): retired\n    w.number_f64(ms); // cdna-check: allow(clock-purity): retired\n}\n";
         let a = analyze(&[pin_defs(), lib("crates/core/src/x.rs", src)]);
         assert_eq!(
             rules_of(&a),
-            [("must-pair", 6), ("panic", 7)],
+            [("must-pair", 6), ("panic", 7), ("clock-purity", 8)],
             "{:?}",
             a.diagnostics
         );
         assert!(a.diagnostics[1].message.contains("clippy::unwrap_used"));
-        assert_eq!(a.allow_count, 3);
+        let clock = crate::rules::replacement("clock-purity").unwrap_or_default();
+        assert!(clock.contains("perf-smoke"), "{clock}");
+        assert!(
+            a.diagnostics[2].message.contains(clock),
+            "{:?}",
+            a.diagnostics[2]
+        );
+        assert_eq!(a.allow_count, 4);
     }
 }

@@ -11,8 +11,8 @@
 //!   (`vulnerable(f)` for taint, transitive lock-acquisition sets for
 //!   lock-order);
 //! * token-walk utilities (statement boundaries, enclosing blocks,
-//!   `let` bindings, call-argument regions, local constructor types)
-//!   used to approximate def-use facts without a real CFG.
+//!   `let` bindings, call-argument regions) used to approximate def-use
+//!   facts without a real CFG.
 //!
 //! Everything stays name-resolved and token-linear — the same
 //! deliberate imprecision as the rest of cdna-check, which is exactly
@@ -30,9 +30,7 @@ pub struct Dataflow<'g> {
     /// The underlying symbol graph.
     pub graph: &'g SymbolGraph,
     /// Analyzed nodes as `(file index, fn index)` into the graph:
-    /// library files (plus binaries under
-    /// [`Dataflow::build_with_binaries`]), `#[cfg(test)]` items
-    /// excluded.
+    /// library files, `#[cfg(test)]` items excluded.
     pub nodes: Vec<(usize, usize)>,
     by_name: BTreeMap<String, Vec<usize>>,
 }
@@ -40,24 +38,10 @@ pub struct Dataflow<'g> {
 impl<'g> Dataflow<'g> {
     /// Builds the node set and the name index (library files only).
     pub fn build(graph: &'g SymbolGraph) -> Self {
-        Self::build_filtered(graph, false)
-    }
-
-    /// Like [`Dataflow::build`], but the node set also includes binary
-    /// entry points (`main.rs`, `src/bin/*`). The determinism rules
-    /// (CDNA014–017) police serialization and merge sites that live in
-    /// bench binaries, which the library-only rules deliberately skip.
-    pub fn build_with_binaries(graph: &'g SymbolGraph) -> Self {
-        Self::build_filtered(graph, true)
-    }
-
-    fn build_filtered(graph: &'g SymbolGraph, include_binaries: bool) -> Self {
         let mut nodes = Vec::new();
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (fi, file) in graph.files.iter().enumerate() {
-            let included = file.kind == FileKind::Library
-                || (include_binaries && file.kind == FileKind::Binary);
-            if !included {
+            if file.kind != FileKind::Library {
                 continue;
             }
             for (gi, f) in file.symbols.fns.iter().enumerate() {
@@ -231,41 +215,6 @@ pub fn arg_region(body: &[Token], call_pos: usize) -> (usize, usize) {
     (open + 1, body.len())
 }
 
-/// Local `let` constructor types: `let q = Type::ctor(..)`,
-/// `let q: Type = ..` and `let q = Type { .. }` all map `q → Type`.
-/// Only uppercase-initial type names count (path heads like `std` or
-/// locals never start a type in this codebase's style).
-pub fn local_types(body: &[Token]) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for (i, t) in body.iter().enumerate() {
-        if !(t.is_ident && t.text == "let") {
-            continue;
-        }
-        let mut j = i + 1;
-        if body.get(j).map(|t| t.text.as_str()) == Some("mut") {
-            j += 1;
-        }
-        let Some(name) = body.get(j).filter(|t| t.is_ident) else {
-            continue;
-        };
-        let name = name.text.clone();
-        // Scan the rest of the statement for the first uppercase-headed
-        // type name: works for ascriptions and constructor calls alike.
-        let stop = body[j..]
-            .iter()
-            .position(|t| t.text == ";")
-            .map(|p| j + p)
-            .unwrap_or(body.len());
-        if let Some(c) = body[j + 1..stop]
-            .iter()
-            .find(|c| c.is_ident && c.text.starts_with(|ch: char| ch.is_ascii_uppercase()))
-        {
-            out.insert(name, c.text.clone());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,12 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn arg_regions_and_local_types() {
+    fn arg_regions() {
         let b = toks(
             "let q = PermutationQueue::with_window(a, 3); sim.with_event_queue(w, Box::new(q));",
         );
-        let types = local_types(&b);
-        assert_eq!(types.get("q").map(String::as_str), Some("PermutationQueue"));
         let cp = b.iter().position(|t| t.text == "with_event_queue").unwrap();
         let (s, e) = arg_region(&b, cp);
         let idents: Vec<&str> = b[s..e]

@@ -22,21 +22,6 @@ pub struct GraphFile {
     pub kind: FileKind,
     /// Lines occupied by `#[cfg(test)]` / `#[test]` items.
     pub test_lines: BTreeSet<u32>,
-    /// String-literal contents by line (see [`crate::lexer::Scrubbed`]);
-    /// lets passes resolve the JSON key a `w.key("…")` call names.
-    pub strings: Vec<(u32, String)>,
-}
-
-impl GraphFile {
-    /// First string literal opening on `line`, if any — the resolution
-    /// rule for single-argument calls like `w.key("wall_ms")` in this
-    /// one-statement-per-line codebase.
-    pub fn string_on_line(&self, line: u32) -> Option<&str> {
-        self.strings
-            .iter()
-            .find(|(l, _)| *l == line)
-            .map(|(_, s)| s.as_str())
-    }
 }
 
 /// The whole-workspace symbol graph.

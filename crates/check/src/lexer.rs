@@ -33,7 +33,7 @@ pub struct AllowEntry {
 /// ```text
 /// // cdna-check: allow(guest-taint)
 /// // cdna-check: allow(guest-taint, lock-order): justification
-/// // cdna-check: allow-file(clock-purity): justification
+/// // cdna-check: allow-file(lock-order): justification
 /// ```
 ///
 /// A line-scoped `allow` suppresses diagnostics on its own line and the
@@ -135,12 +135,6 @@ pub struct Scrubbed {
     pub masked: String,
     /// Lint suppressions found in the removed comments.
     pub allows: Allows,
-    /// Contents of ordinary `"…"` literals, keyed by the line the
-    /// opening quote sits on, in source order. The masked text blanks
-    /// literal bodies, so passes that need to resolve a string — e.g.
-    /// the JSON key naming a serialized field (CDNA015/CDNA016) — look
-    /// it up here by line instead.
-    pub strings: Vec<(u32, String)>,
 }
 
 /// Strips comments and string/char-literal contents from Rust source.
@@ -155,7 +149,6 @@ pub fn scrub(src: &str) -> Scrubbed {
     let bytes = src.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(bytes.len());
     let mut allows = Allows::default();
-    let mut strings: Vec<(u32, String)> = Vec::new();
     let mut line: u32 = 1;
     let mut i = 0;
 
@@ -205,7 +198,6 @@ pub fn scrub(src: &str) -> Scrubbed {
             out.push(b'"');
             i += 1;
             let body = i;
-            let open_line = line;
             while i < bytes.len() {
                 if bytes[i] == b'\\' {
                     i = (i + 2).min(bytes.len());
@@ -215,7 +207,6 @@ pub fn scrub(src: &str) -> Scrubbed {
                     i += 1;
                 }
             }
-            strings.push((open_line, src[body..i].to_string()));
             blank(&mut out, &mut line, bytes, body, i);
             if i < bytes.len() {
                 out.push(b'"');
@@ -267,7 +258,6 @@ pub fn scrub(src: &str) -> Scrubbed {
     Scrubbed {
         masked: String::from_utf8_lossy(&out).into_owned(),
         allows,
-        strings,
     }
 }
 

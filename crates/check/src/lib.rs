@@ -2,9 +2,8 @@
 //!
 //! CDNA's safety argument rests on the hypervisor's DMA protection —
 //! page-ownership validation, pins that outlive in-flight DMA, strictly
-//! increasing sequence numbers — and the simulator's value rests on
-//! `--jobs 1 ≡ --jobs N` byte-identical reports. This crate checks the
-//! parts of both that no compiler lint can see:
+//! increasing sequence numbers. This crate checks the parts of that
+//! guest→hypervisor DMA interface that no compiler lint can see:
 //!
 //! * **Symbol-graph pass** ([`parse`], [`graph`], [`analyses`]): an
 //!   item-level parser extracts per-crate `fn` items and call sites,
@@ -14,19 +13,14 @@
 //!   `guest-taint` (CDNA011) follows guest-controlled values to pin,
 //!   DMA and ring sinks; `lock-order` (CDNA012) finds lock-order cycles
 //!   and locks held across calls that lock.
-//! * **Determinism-soundness passes** ([`determinism`]):
-//!   `merge-order`, `clock-purity`, `jobs-leak`, and `float-accum`
-//!   (CDNA014–017) prove the byte-identity guarantee over the code
-//!   instead of sampling it with differential tests. The scanner also
-//!   eats the dogfood: [`analyses::analyze_jobs`] shards per-file work
-//!   over `cdna_sim::par` and merges in path order, so its own report
-//!   is byte-identical at any worker count.
 //!
 //! The general code rules this crate once re-implemented on its own
 //! lexer — no wall clock or hash maps in simulation code, no panics in
 //! library code, no `unsafe`, documented public items, exhaustive fault
 //! matches, hermetic and layered dependencies — are rustc and clippy
-//! lints in `[workspace.lints]` plus a `Cargo.lock` test now;
+//! lints in `[workspace.lints]` plus a `Cargo.lock` test now, and the
+//! determinism rules (`--jobs 1 ≡ --jobs N` byte identity) are the
+//! jobs-equality tests and CI `cmp` gates of every fan-out binary;
 //! [`rules::RETIRED`] and DESIGN.md §9 map each retired code to its
 //! replacement. The run-time DMA mirror lives next to the protection
 //! engine, in `cdna_core::shadow`.
@@ -41,7 +35,6 @@
 pub mod analyses;
 pub mod calibrate;
 pub mod dataflow;
-pub mod determinism;
 pub mod graph;
 pub mod lexer;
 pub mod locks;
@@ -50,9 +43,8 @@ pub mod report;
 pub mod rules;
 pub mod taint;
 
-pub use analyses::{analyze, analyze_jobs, Analysis, SourceFile};
+pub use analyses::{analyze, Analysis, SourceFile};
 pub use report::render_json;
-pub use rules::check_repo_jobs;
 pub use rules::{check_repo, rule_code, Diagnostic, FileKind, StaticReport, RULE_NAMES};
 
 use std::path::PathBuf;

@@ -3,42 +3,34 @@
 //! rules it used to carry (no panics, no `unsafe`, documented public
 //! items, no wall clock or hash maps, …) are compiler and clippy lints
 //! now; `cargo clippy --workspace --all-targets -- -D warnings` is their
-//! gate (DESIGN.md §9).
+//! gate. Its determinism rules (CDNA014–017) are the jobs-equality
+//! tests and CI `cmp` gates of the fan-out binaries (DESIGN.md §9).
 //!
 //! ```text
 //! cargo run -p cdna-check                 # scan, print diagnostics
 //! cargo run -p cdna-check -- --json out.json   # also write JSON report
-//! cargo run -p cdna-check -- --jobs 4     # fan the scan out (same bytes)
 //! cargo run -p cdna-check -- --format github  # ::error annotations
 //! cargo run -p cdna-check -- --root /path/to/repo
 //! cargo run -p cdna-check -- --calibrate  # seeded-fixture calibration
 //! ```
 //!
-//! **Parallel scan** (`--jobs N`, or the `CDNA_JOBS` env var): per-file
-//! lex/parse/pass work is sharded over the `cdna_sim::par` worker pool
-//! and merged in path order, so the output — terminal, annotations, and
-//! the JSON artifact — is byte-identical at any worker count. The
-//! scanner self-hosts the determinism guarantee CDNA014–017 enforce on
-//! everything else.
-//!
 //! **Calibration mode** (`--calibrate`): runs the seeded-violation
 //! fixtures under `crates/check/tests/corpus/` and exits 1 unless every
-//! seeded violation (CDNA011, CDNA012, CDNA014–017) is caught at its
+//! seeded violation (CDNA011, CDNA012) is caught at its
 //! exact file:line (and nothing else fires) — the proof that the
 //! analyses actually detect what they claim to.
 //!
 //! **GitHub annotations** (`--format github`): diagnostics print as
-//! workflow commands (`::error file=…,line=…::CDNA014 …`) that GitHub
+//! workflow commands (`::error file=…,line=…::CDNA009 …`) that GitHub
 //! renders inline on the PR diff. The summary line and JSON artifact
 //! are unchanged.
 
-use cdna_check::{calibrate, check_repo_jobs, render_json, report::render_github, workspace_root};
+use cdna_check::{calibrate, check_repo, render_json, report::render_github, workspace_root};
 use std::path::PathBuf;
 
 fn usage() -> ! {
     println!(
-        "usage: cdna-check [--root DIR] [--jobs N] [--json REPORT.json] \
-         [--format text|github] [--calibrate]"
+        "usage: cdna-check [--root DIR] [--json REPORT.json] [--format text|github] [--calibrate]"
     );
     std::process::exit(0);
 }
@@ -47,20 +39,12 @@ fn main() {
     let mut root = workspace_root();
     let mut json_path: Option<PathBuf> = None;
     let mut run_calibration = false;
-    let mut jobs: Option<usize> = None;
     let mut github = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json_path = args.next().map(PathBuf::from),
             "--calibrate" => run_calibration = true,
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok());
-                if jobs.is_none() {
-                    eprintln!("cdna-check: --jobs expects a positive integer");
-                    std::process::exit(2);
-                }
-            }
             "--format" => match args.next().as_deref() {
                 Some("github") => github = true,
                 Some("text") => github = false,
@@ -105,7 +89,7 @@ fn main() {
         }
     }
 
-    let report = match check_repo_jobs(&root, jobs) {
+    let report = match check_repo(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cdna-check: scan failed: {e}");

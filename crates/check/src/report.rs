@@ -1,9 +1,9 @@
 //! Machine-readable JSON report for CI, built on `cdna-trace`'s
 //! [`JsonWriter`] so the checker stays dependency-free.
 //!
-//! Shape (`schema_version` 4 — since the determinism-soundness rules
-//! CDNA014–017 and the parallel self-hosted scan; version 3 covered
-//! the dataflow rules CDNA011–013, version 2 the symbol-graph rules):
+//! Shape (`schema_version` 4; version 3 covered the dataflow rules
+//! CDNA011–013, version 2 the symbol-graph rules; no field has changed
+//! meaning since, so retiring rules kept the version):
 //!
 //! ```json
 //! {
@@ -23,12 +23,9 @@
 //! ```
 //!
 //! `counts` and `diagnostics` are sorted, so the report is byte-stable
-//! across runs — diffable in CI artifacts — and, because the scan
-//! itself merges per-file work in path order, byte-identical at any
-//! `--jobs` count (the worker count is deliberately *not* a report
-//! field; CDNA016 would flag it). Rule codes (`CDNA001`…) are
-//! append-only: a rule rename or retirement never reassigns a code, so
-//! report diffs across PRs stay meaningful.
+//! across runs and diffable in CI artifacts. Rule codes (`CDNA001`…)
+//! are append-only: a rule rename or retirement never reassigns a code,
+//! so report diffs across PRs stay meaningful.
 
 use crate::rules::{rule_code, StaticReport};
 use cdna_trace::json::JsonWriter;
@@ -165,10 +162,10 @@ mod tests {
         let r = StaticReport {
             diagnostics: vec![
                 Diagnostic {
-                    rule: "merge-order",
+                    rule: "must-pair",
                     file: "crates/x/src/y.rs".into(),
                     line: 9,
-                    message: "arrival order".into(),
+                    message: "leaked pin".into(),
                 },
                 Diagnostic {
                     rule: "lock-order",
@@ -185,7 +182,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
             lines[0],
-            "::error file=crates/x/src/y.rs,line=9::CDNA014 arrival order"
+            "::error file=crates/x/src/y.rs,line=9::CDNA009 leaked pin"
         );
         assert_eq!(lines[1], "::error file=a.rs,line=2::CDNA012 two%0Alines");
         assert_eq!(lines.len(), 2);

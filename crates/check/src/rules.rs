@@ -8,37 +8,26 @@
 //! | `must-pair` | CDNA009 | pin acquired but not released on a non-panic path |
 //! | `guest-taint` | CDNA011 | guest-controlled data reaches a pin/DMA/ring sink unvalidated |
 //! | `lock-order` | CDNA012 | lock-order cycle or lock held across a call that locks |
-//! | `merge-order` | CDNA014 | fan-out results merged in arrival order or through a `Hash*` container |
-//! | `clock-purity` | CDNA015 | wall-clock value serialized outside a `wall_ms*` field |
-//! | `jobs-leak` | CDNA016 | worker count/index or thread identity in compared serialization |
-//! | `float-accum` | CDNA017 | order-unstable data fed into an `f64` reduction |
 //!
-//! CDNA009 is produced by [`crate::analyses`], CDNA011–012 by the
-//! dataflow passes in [`crate::taint`] and [`crate::locks`], and
-//! CDNA014–017 by the determinism-soundness passes in
-//! [`crate::determinism`]. The other codes belong to rules that rustc,
-//! clippy or a root test now enforce ([`RETIRED`]); codes are never
+//! CDNA009 is produced by [`crate::analyses`] and CDNA011–012 by the
+//! dataflow passes in [`crate::taint`] and [`crate::locks`]. The other
+//! codes belong to rules that rustc, clippy, a root test or the
+//! jobs-equality gates now enforce ([`RETIRED`]); codes are never
 //! reassigned.
 
 use crate::analyses::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// Names of every static rule, in report order.
-pub const RULE_NAMES: [&str; 7] = [
-    "must-pair",
-    "guest-taint",
-    "lock-order",
-    "merge-order",
-    "clock-purity",
-    "jobs-leak",
-    "float-accum",
-];
+pub const RULE_NAMES: [&str; 3] = ["must-pair", "guest-taint", "lock-order"];
 
 /// Retired rules as `(name, code, replacement)`: each moved to a rustc
 /// or clippy lint in `[workspace.lints]`, to the compiler's own checks,
-/// or to the `Cargo.lock` policy test in the root `tests/check.rs`. An
-/// escape naming one of them is reported as stale.
-pub const RETIRED: [(&str, &str, &str); 10] = [
+/// to the `Cargo.lock` policy test in the root `tests/check.rs`, or —
+/// for the determinism rules — to the `--jobs 1` vs `--jobs N`
+/// equality tests and CI compares. An escape naming one of them is
+/// reported as stale.
+pub const RETIRED: [(&str, &str, &str); 14] = [
     ("sim-time", "CDNA001", "`clippy::disallowed_types`"),
     (
         "nondeterministic-map",
@@ -65,6 +54,28 @@ pub const RETIRED: [(&str, &str, &str); 10] = [
         "CDNA013",
         "the compiler's `Send` bound on the queue seam",
     ),
+    (
+        "merge-order",
+        "CDNA014",
+        "the jobs-equality tests (bench `parallel_vs_sequential_bench_identical`, rack, \
+         fuzz, model) and `clippy::disallowed_types` on `Hash*`",
+    ),
+    (
+        "clock-purity",
+        "CDNA015",
+        "`clippy::disallowed_types` on `Instant`/`SystemTime`, the CI perf-smoke \
+         jobs-1 vs jobs-2 compare and the rack `cmp`",
+    ),
+    (
+        "jobs-leak",
+        "CDNA016",
+        "the rack `jobs_one_and_many_are_byte_identical` test and the CI jobs-equality gates",
+    ),
+    (
+        "float-accum",
+        "CDNA017",
+        "the jobs-equality tests and `clippy::disallowed_types` on `Hash*`",
+    ),
 ];
 
 /// Stable machine-readable code for a rule (`CDNA009`…), used by the
@@ -74,10 +85,6 @@ pub fn rule_code(rule: &str) -> &'static str {
         "must-pair" => "CDNA009",
         "guest-taint" => "CDNA011",
         "lock-order" => "CDNA012",
-        "merge-order" => "CDNA014",
-        "clock-purity" => "CDNA015",
-        "jobs-leak" => "CDNA016",
-        "float-accum" => "CDNA017",
         _ => RETIRED
             .iter()
             .find(|(name, _, _)| *name == rule)
@@ -182,20 +189,9 @@ pub fn classify(rel: &str) -> Option<FileKind> {
 /// the stale-escape audit.
 ///
 /// Scans `src/`, `tests/`, `examples/` at the root and under each
-/// `crates/*`, and counts the `Cargo.toml`s. Paths are sorted so output is
-/// deterministic. Per-file work runs on one worker; see
-/// [`check_repo_jobs`] for the fanned-out scan.
+/// `crates/*`, and counts the `Cargo.toml`s. Paths are sorted so output
+/// is deterministic.
 pub fn check_repo(root: &Path) -> std::io::Result<StaticReport> {
-    check_repo_jobs(root, Some(1))
-}
-
-/// [`check_repo`], with per-file lex/parse work sharded over
-/// `jobs` workers of the `cdna_sim::par` pool (`None` resolves the
-/// worker count like every other binary: `CDNA_JOBS`, then available
-/// parallelism). The scanner self-hosts the guarantee it checks: the
-/// merge is path-ordered, so the report is byte-identical at any
-/// worker count.
-pub fn check_repo_jobs(root: &Path, jobs: Option<usize>) -> std::io::Result<StaticReport> {
     let mut rs_files: Vec<PathBuf> = Vec::new();
     let mut manifests: Vec<PathBuf> = vec![root.join("Cargo.toml")];
 
@@ -236,8 +232,7 @@ pub fn check_repo_jobs(root: &Path, jobs: Option<usize>) -> std::io::Result<Stat
         });
     }
 
-    let resolved = cdna_sim::par::resolve_jobs(jobs, sources.len());
-    let analysis = crate::analyses::analyze_jobs(&sources, resolved);
+    let analysis = crate::analyses::analyze(&sources);
     Ok(StaticReport {
         diagnostics: analysis.diagnostics,
         files_scanned: sources.len(),
@@ -300,8 +295,17 @@ mod tests {
         assert_eq!(rule_code("must-pair"), "CDNA009");
         assert_eq!(rule_code("guest-taint"), "CDNA011");
         assert_eq!(rule_code("lock-order"), "CDNA012");
-        assert_eq!(rule_code("float-accum"), "CDNA017");
         assert_eq!(rule_code("panic"), "CDNA003");
+        for (rule, code) in [
+            ("merge-order", "CDNA014"),
+            ("clock-purity", "CDNA015"),
+            ("jobs-leak", "CDNA016"),
+            ("float-accum", "CDNA017"),
+        ] {
+            assert_eq!(rule_code(rule), code);
+            assert_eq!(known_rule(rule), Some(rule));
+            assert!(replacement(rule).is_some_and(|gate| gate.contains("jobs")));
+        }
         assert_eq!(known_rule("send-audit"), Some("send-audit"));
         assert_eq!(known_rule("no-such-rule"), None);
         assert_eq!(replacement("must-pair"), None);

@@ -1,7 +1,8 @@
 //! The static pass run against this repository itself, as a `#[test]`
-//! so tier-1 `cargo test` enforces the rules on every change.
+//! so tier-1 `cargo test` enforces the rules on every change, plus the
+//! seeded-fixture calibration that proves the passes still fire.
 
-use cdna_check::{check_repo, render_json, workspace_root};
+use cdna_check::{calibrate::calibrate, check_repo, render_json, workspace_root};
 
 #[test]
 fn repository_passes_static_checks() {
@@ -30,4 +31,18 @@ fn repo_report_is_valid_deterministic_json() {
     assert_eq!(a, b, "report must be byte-stable");
     assert!(a.starts_with('{') && a.ends_with('}'));
     assert!(a.contains(r#""clean":true"#));
+}
+
+#[test]
+fn calibration_catches_every_seeded_violation() {
+    let corpus = workspace_root().join("crates/check/tests/corpus");
+    let failures = match calibrate(&corpus) {
+        Ok(f) => f,
+        Err(e) => panic!("calibration harness error: {e}"),
+    };
+    assert!(
+        failures.is_empty(),
+        "calibration failures:\n{}",
+        failures.join("\n")
+    );
 }

@@ -21,13 +21,9 @@
 //!   slot of its input index; callers get `Vec<R>` in input order no
 //!   matter which worker ran what when. Combined with per-task
 //!   determinism this makes `jobs=1` and `jobs=N` outputs byte-identical
-//!   — proven by the differential tests in `crates/bench/tests/` and
-//!   `crates/model/tests/`, not asserted by hand. `cdna-check` both
-//!   *polices* this contract (the CDNA014–017 determinism-soundness
-//!   passes flag arrival-order merges, clock/jobs leaks, and unstable
-//!   `f64` reductions at fan-out sites) and *self-hosts* on this pool:
-//!   its `--jobs N` scan shards per-file work through [`run_indexed`]
-//!   and merges in path order, byte-identical at any worker count.
+//!   — proven by the differential tests in the `bench`, `model`, `rack`
+//!   and `fuzz` crates, not asserted by hand, and by CI's `--jobs 1` vs
+//!   `--jobs 2` compares of the perf, rack and fuzz reports.
 //! * **Bounded workers over [`std::thread::scope`].** No detached
 //!   threads, no channels, no external crates; a worker panic propagates
 //!   to the caller when the scope joins.

@@ -70,6 +70,13 @@ impl GuestWorkload {
         self.guest
     }
 
+    /// How many NICs carry at least one of this guest's connections:
+    /// connection `c` rides NIC `c % nics`, so exactly NICs
+    /// `0..nics_in_use()`. A NIC past that has nothing to transmit.
+    pub fn nics_in_use(&self) -> usize {
+        usize::from(self.conns.min(u16::from(self.nics)))
+    }
+
     /// Produces the next transmit unit of `payload` bytes, rotating
     /// fairly across connections.
     pub fn next_tx(&mut self) -> TxUnit {

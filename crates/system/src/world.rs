@@ -1647,12 +1647,17 @@ impl SystemWorld {
 
         // Still runnable? Pending receive work or transmit headroom.
         let more_rx = !state.rx_host.is_empty();
-        // A workload-less (idle) guest has nothing to transmit: without
-        // the workload check it would requeue forever once an interrupt
-        // wakes it, spinning the CPU for the rest of the run.
+        // Only NICs that carry one of the guest's connections count: a
+        // workload-less (idle) guest, or a NIC with no flow, always has
+        // ring headroom and would requeue the guest forever once an
+        // interrupt wakes it, spinning the CPU for the rest of the run.
         let more_tx = self.cfg.direction == Direction::Transmit
-            && state.workload.is_some()
-            && drivers.iter().any(|d| d.can_queue_tx());
+            && state.workload.as_ref().is_some_and(|w| {
+                drivers
+                    .iter()
+                    .take(w.nics_in_use())
+                    .any(|d| d.can_queue_tx())
+            });
         more_rx || more_tx
     }
 
@@ -2337,8 +2342,15 @@ impl SystemWorld {
         }
 
         let more_rx = !state.rx_host.is_empty();
+        // As for CDNA guests: a NIC that carries no connection always
+        // has ring headroom, so counting it would spin the CPU.
         let more_tx = self.cfg.direction == Direction::Transmit
-            && drivers.iter().any(|d| d.can_queue_tx(&self.rings));
+            && state.workload.as_ref().is_some_and(|w| {
+                drivers
+                    .iter()
+                    .take(w.nics_in_use())
+                    .any(|d| d.can_queue_tx(&self.rings))
+            });
         more_rx || more_tx
     }
 

@@ -231,3 +231,50 @@ fn workload_balances_connections_exactly() {
     }
     assert_eq!(w.tx_imbalance(), 0, "paper §5.1: balanced connections");
 }
+
+/// Metamorphic: a NIC that carries none of a guest's connections is
+/// idle hardware. Adding one must not change what the guest sends or
+/// where its CPU time goes (it once kept the guest runnable forever,
+/// driving idle time to zero).
+#[test]
+fn a_nic_without_flows_changes_nothing() {
+    use cdna_system::{run_experiment, Direction, IoModel, NicKind, TestbedConfig};
+    for io in [
+        IoModel::Native {
+            nic: NicKind::Intel,
+        },
+        IoModel::Cdna {
+            policy: DmaPolicy::Validated,
+        },
+    ] {
+        let run = |nics: u8| {
+            let mut cfg = TestbedConfig::new(io, 1, Direction::Transmit)
+                .quick()
+                .with_nics(nics);
+            cfg.conns_per_guest = 2;
+            run_experiment(cfg)
+        };
+        let (two, three) = (run(2), run(3));
+        assert_eq!(two.packets, three.packets, "{io:?}");
+        assert_eq!(two.throughput_mbps, three.throughput_mbps, "{io:?}");
+        let fracs = |r: &cdna_system::RunReport| {
+            let p = &r.profile;
+            [
+                p.hypervisor_frac,
+                p.driver_kernel_frac,
+                p.driver_user_frac,
+                p.guest_kernel_frac,
+                p.guest_user_frac,
+                p.idle_frac,
+            ]
+        };
+        for (a, b) in fracs(&two).into_iter().zip(fracs(&three)) {
+            assert!(
+                (a - b).abs() <= 0.01,
+                "{io:?}: {:?} vs {:?}",
+                two.profile,
+                three.profile
+            );
+        }
+    }
+}
