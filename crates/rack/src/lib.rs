@@ -13,13 +13,20 @@
 //! switch adds at least `2 * latency` to any frame, so a host's events
 //! up to time `T` can never be affected by a frame another host
 //! transmits after `T - 2 * latency`. Hosts therefore advance in
-//! epochs of exactly one link latency. At each epoch barrier the rack
-//! drains every host's uplink egress buffer, pushes the frames through
-//! the switch in a fixed merge order — `(departure time, source host,
-//! capture sequence)` — and schedules the resulting arrivals into the
-//! destination hosts, always at times strictly beyond the barrier.
-//! The barrier work is serial and the per-epoch host stepping fans out
-//! over [`cdna_sim::par::run_rounds`], so `--jobs 1` and `--jobs N`
+//! epochs of exactly one link latency, stepped in parallel over
+//! [`cdna_sim::par::run_rounds`].
+//!
+//! Each host travels between workers as a box holding its simulation
+//! and two mailboxes. A host's step, on whichever worker owns it,
+//! schedules its inbox (the arrivals forwarded at the last barrier, in
+//! forward order), calls the host hook, runs to the end of the epoch,
+//! and drains its uplink egress into its outbox. The serial barrier
+//! then touches only mailboxes and the switch, never a host's
+//! simulation: it pushes every outbox's frames through the switch in a
+//! fixed merge order — `(departure time, source host, capture
+//! sequence)` — and posts the arrivals, always strictly beyond the
+//! barrier, to the destination inboxes. Every host sees the same calls
+//! in the same order at any worker count, so `--jobs 1` and `--jobs N`
 //! produce byte-identical rack reports.
 //!
 //! # Example
@@ -302,6 +309,19 @@ impl RackReport {
     }
 }
 
+/// One host as the epoch loop moves it between workers: boxed, so a
+/// round hands over a pointer rather than the whole simulation, and
+/// the barrier reaches the mailboxes without touching `sim`.
+struct Host {
+    sim: Simulation<SystemWorld>,
+    /// Arrivals forwarded to this host at the last barrier, in forward
+    /// order; scheduled at the start of the host's next step.
+    inbox: Vec<(SimTime, Event)>,
+    /// Uplink egress drained at the end of the host's last step, in
+    /// capture order; routed through the switch at the next barrier.
+    outbox: Vec<EgressFrame>,
+}
+
 /// The rack: every host world wrapped in its own simulation, plus the
 /// switch between them.
 #[derive(Debug)]
@@ -405,48 +425,65 @@ impl RackWorld {
         let epochs = end_ns.div_ceil(epoch_ns);
         let nics = cfg.nics as usize;
 
+        let hosts: Vec<Box<Host>> = hosts
+            .into_iter()
+            .map(|sim| {
+                Box::new(Host {
+                    sim,
+                    inbox: Vec::new(),
+                    outbox: Vec::new(),
+                })
+            })
+            .collect();
+        let mut crossing: Vec<(SimTime, usize, usize, EgressFrame)> = Vec::new();
         let hosts = par::run_rounds(
             jobs,
             hosts,
             |round, hosts| {
                 if round > 0 {
-                    // Epoch barrier: drain every uplink, cross the
-                    // switch in (departure, src host, capture seq)
-                    // order, inject arrivals. All times here are beyond
+                    // Epoch barrier: cross the switch in (departure,
+                    // src host, capture seq) order and post arrivals to
+                    // the destination inboxes. All times here are beyond
                     // every host's local clock (see crate docs).
-                    let mut crossing: Vec<(SimTime, usize, usize, EgressFrame)> = Vec::new();
-                    for (h, sim) in hosts.iter_mut().enumerate() {
-                        for (i, ef) in sim.world_mut().drain_egress().into_iter().enumerate() {
+                    for (h, host) in hosts.iter_mut().enumerate() {
+                        for (i, ef) in host.outbox.drain(..).enumerate() {
                             crossing.push((ef.at, h, i, ef));
                         }
                     }
                     crossing.sort_by_key(|(at, h, i, _)| (*at, *h, *i));
-                    for (at, h, _, ef) in crossing {
+                    for (at, h, _, ef) in crossing.drain(..) {
                         let src_port = h * nics + ef.nic;
                         if let Some((dst_port, deliver)) = switch.forward(at, src_port, &ef.frame) {
-                            hosts[dst_port / nics].schedule(
+                            hosts[dst_port / nics].inbox.push((
                                 deliver,
                                 Event::WireRxArrive {
                                     nic: dst_port % nics,
                                     frame: ef.frame,
                                 },
-                            );
+                            ));
                         }
                     }
                 }
                 round < epochs
             },
-            |host, round, sim| {
-                hook(host, round, sim);
+            |h, round, host| {
+                let Host { sim, inbox, outbox } = &mut **host;
+                for (t, e) in inbox.drain(..) {
+                    sim.schedule(t, e);
+                }
+                hook(h, round, sim);
                 sim.run_until(SimTime::from_ns(((round + 1) * epoch_ns).min(end_ns)));
+                outbox.append(&mut sim.world_mut().drain_egress());
             },
         );
 
+        // Arrivals forwarded at the final barrier stay in the inboxes:
+        // no host simulates past the window, so they change no report.
         let per_host: Vec<RunReport> = hosts
             .into_iter()
-            .map(|sim| {
-                let events = sim.events_processed();
-                let mut world = sim.into_world();
+            .map(|host| {
+                let events = host.sim.events_processed();
+                let mut world = host.sim.into_world();
                 report_from_world(&mut world, events, false)
             })
             .collect();

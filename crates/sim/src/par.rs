@@ -28,12 +28,20 @@
 //!   threads, no channels, no external crates; a worker panic propagates
 //!   to the caller when the scope joins.
 //!
+//! [`run_rounds`] is the second shape: a fixed set of states stepped in
+//! lockstep rounds with a serial barrier between them (the rack's
+//! epoch loop). Its rounds last microseconds, so it trades the queue
+//! for a fixed stride and a spin-then-park barrier in which the caller
+//! is worker 0 (see its docs).
+//!
 //! Worker threads are *not* simulation threads: nothing here touches
 //! [`crate::SimTime`] or the event queue. The pool is plain wall-clock
 //! plumbing around independently deterministic runs.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// Worker threads the host offers, per `std::thread::available_parallelism`
 /// (1 when the host cannot say).
@@ -183,6 +191,56 @@ where
     out
 }
 
+/// Spin iterations a round-barrier waiter makes before it parks. A
+/// rack round is a few µs, so the next release almost always lands
+/// within the spin and never costs a futex round trip; a waiter that
+/// outlasts it parks instead of burning a core. On a 2-vCPU Xeon the
+/// quick 4-host × 8-guest rack at 2 workers took 1.4 s with budgets of
+/// 1 or 2^6 (every wait parked) and 0.2 s with any budget from 2^8 to
+/// 2^14; 2^12 leaves headroom for slower barriers.
+const SPIN_LIMIT: u32 = 1 << 12;
+
+/// Waits until `ready()` holds: spins up to `spins` times, then parks,
+/// re-checking after every wake-up (spurious ones included).
+///
+/// Whoever makes `ready()` true must `unpark` the waiting thread
+/// afterwards. An `unpark` that lands before the `park` leaves a token
+/// that makes the `park` return at once, so no wake-up is lost; while
+/// the waiter is still spinning, the `unpark` is a single atomic swap.
+fn wait_until(spins: u32, ready: impl Fn() -> bool) {
+    for _ in 0..spins {
+        if ready() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+    while !ready() {
+        std::thread::park();
+    }
+}
+
+/// Stops the [`run_rounds`] helpers when dropped: sets `stop`, bumps
+/// the round generation past the one the helpers last saw, and unparks
+/// them. It drops on the normal exit and also when the caller unwinds
+/// out of `sync` or out of its own share of a round, so a panic on the
+/// caller's thread cannot leave helpers waiting for a round that never
+/// comes (and the scope join waiting on them).
+struct Shutdown<'a> {
+    stop: &'a AtomicBool,
+    generation: &'a AtomicU64,
+    helpers: Vec<Thread>,
+}
+
+impl Drop for Shutdown<'_> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        self.generation.fetch_add(1, Ordering::Release);
+        for h in &self.helpers {
+            h.unpark();
+        }
+    }
+}
+
 /// Runs `states` through repeated *rounds* of parallel stepping with a
 /// serial barrier between rounds — the conservative epoch-barrier
 /// pattern `cdna-rack` uses to advance N independent host simulations
@@ -192,28 +250,43 @@ where
 /// caller's thread with every state at the same logical round — the
 /// place to exchange information *between* states (route frames, merge
 /// counters) and to decide whether to continue (`false` stops the loop
-/// and returns the states). It then runs `step(index, round, &mut
-/// state)` for every state across `jobs` persistent workers.
+/// and returns the states). `sync` must not change the number of
+/// states. The loop then runs `step(index, round, &mut state)` for
+/// every state across `jobs` workers.
 ///
 /// Determinism: `sync` always runs single-threaded over index-ordered
 /// states, and each `step` call sees only its own state, so the outcome
 /// is independent of `jobs` — `jobs=1` (which runs everything inline on
 /// the caller's thread) and `jobs=N` produce identical final states.
 ///
-/// Unlike [`run_indexed`], the workers persist across rounds: a rack
-/// run has tens of thousands of epochs, and spawning threads per epoch
-/// would cost more than the epoch's work. A panic in `step` is caught,
-/// carried across the barrier, and re-raised on the caller's thread
-/// after the workers shut down cleanly.
+/// The round protocol is built for rounds of a few microseconds (a
+/// rack run has tens of thousands of them):
+///
+/// * **The caller is worker 0.** `jobs` workers are the caller plus
+///   `jobs − 1` helper threads that persist across rounds, so `jobs`
+///   equal to the core count oversubscribes nothing.
+/// * **Fixed stride.** Worker `w` steps the states with
+///   `index % jobs == w` every round, so a state stays on one core and
+///   a round hands each helper its share without a shared queue.
+/// * **Spin-then-park barrier.** The caller releases a round by
+///   bumping an atomic generation and unparking the helpers; each
+///   helper reports back on an atomic done-count, and the last one
+///   unparks the caller. Both waits spin for a bounded number of
+///   iterations before parking — not at all when `jobs` exceeds
+///   [`available_jobs`], where a spinning waiter would only take the
+///   core from a worker that has real work.
+///
+/// A panic in a helper's `step` is caught, carried to the caller, and
+/// re-raised on the caller's thread after the helpers shut down. A
+/// panic on the caller's thread — in `sync` or in its own share of
+/// `step` — unwinds directly; a drop guard releases the helpers first,
+/// so the panic propagates instead of hanging the scope join.
 pub fn run_rounds<T, S, F>(jobs: usize, states: Vec<T>, mut sync: S, step: F) -> Vec<T>
 where
     T: Send,
     S: FnMut(u64, &mut Vec<T>) -> bool,
     F: Fn(usize, u64, &mut T) + Sync,
 {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Barrier;
-
     let n = states.len();
     let jobs = jobs.clamp(1, n.max(1));
     let mut states = states;
@@ -228,79 +301,111 @@ where
         return states;
     }
 
+    let helpers = jobs - 1;
+    // With more workers than cores a spinning waiter holds a core the
+    // thread it waits for needs: 100 k short rounds at jobs 3 and 8 on
+    // 2 cores took 10x longer spinning than parking at once.
+    let spins = if jobs <= available_jobs() {
+        SPIN_LIMIT
+    } else {
+        0
+    };
+    // Helpers' states travel through per-index slots; the caller keeps
+    // its own share (index % jobs == 0) in hand.
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let work: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::with_capacity(n));
-    let round_no = AtomicU64::new(0);
+    let generation = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
-    // Two barriers per round: `start` releases the workers into the
-    // round's work queue, `finish` hands control back to the caller.
-    let start = Barrier::new(jobs + 1);
-    let finish = Barrier::new(jobs + 1);
+    let done = AtomicUsize::new(0);
+    // A caught helper panic: the payload, plus a flag the caller can
+    // test each round without taking the lock.
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let failed = AtomicBool::new(false);
+    let caller = std::thread::current();
 
-    let mut payload = None;
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                start.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let r = round_no.load(Ordering::Acquire);
-                loop {
-                    let next = lock(&work).pop_front();
-                    let Some(i) = next else { break };
-                    let mut slot = lock(&slots[i]);
-                    if let Some(t) = slot.as_mut() {
-                        // Catch instead of unwinding through the barrier
-                        // protocol: an unwinding worker would leave the
-                        // caller waiting on `finish` forever.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            // The slot mutex is per-index and `step` only
-                            // touches its own slot's state; no other holder
-                            // ever acquires a second lock, so the nesting
-                            // cannot invert.
-                            // cdna-check: allow(lock-order): per-index slot mutex
-                            step(i, r, t)
-                        }));
-                        if let Err(p) = caught {
-                            *lock(&panicked) = Some(p);
+        let helper_threads = (1..jobs)
+            .map(|w| {
+                let (slots, generation, stop, done) = (&slots, &generation, &stop, &done);
+                let (panicked, failed, caller, step) = (&panicked, &failed, &caller, &step);
+                let handle = scope.spawn(move || {
+                    let mut seen = 0u64;
+                    loop {
+                        wait_until(spins, || generation.load(Ordering::Acquire) != seen);
+                        seen = generation.load(Ordering::Acquire);
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let round = seen - 1;
+                        for i in (w..n).step_by(jobs) {
+                            let taken = lock(&slots[i]).take();
+                            let Some(mut t) = taken else { continue };
+                            // Catch instead of unwinding: a dead helper
+                            // would leave the caller waiting on `done`.
+                            let caught =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    step(i, round, &mut t)
+                                }));
+                            *lock(&slots[i]) = Some(t);
+                            if let Err(p) = caught {
+                                *lock(panicked) = Some(p);
+                                failed.store(true, Ordering::Release);
+                            }
+                        }
+                        if done.fetch_add(1, Ordering::AcqRel) + 1 == helpers {
+                            caller.unpark();
                         }
                     }
-                }
-                finish.wait();
-            });
-        }
+                });
+                handle.thread().clone()
+            })
+            .collect();
+        let shutdown = Shutdown {
+            stop: &stop,
+            generation: &generation,
+            helpers: helper_threads,
+        };
 
+        let mut own: Vec<T> = Vec::with_capacity(n.div_ceil(jobs));
         let mut round = 0u64;
-        loop {
-            if lock(&panicked).is_some() || !sync(round, &mut states) {
-                stop.store(true, Ordering::Release);
-                start.wait();
+        while sync(round, &mut states) {
+            assert_eq!(states.len(), n, "run_rounds: sync changed the state count");
+            for (i, t) in states.drain(..).enumerate() {
+                if i % jobs == 0 {
+                    own.push(t);
+                } else {
+                    *lock(&slots[i]) = Some(t);
+                }
+            }
+            // The Release store of the generation publishes the reset
+            // count (and the filled slots) to every helper, which
+            // Acquire-loads it before its own `fetch_add`.
+            done.store(0, Ordering::Relaxed);
+            generation.store(round + 1, Ordering::Release);
+            for h in &shutdown.helpers {
+                h.unpark();
+            }
+            for (k, t) in own.iter_mut().enumerate() {
+                step(k * jobs, round, t);
+            }
+            wait_until(spins, || done.load(Ordering::Acquire) == helpers);
+            let mut own_share = own.drain(..);
+            for (i, slot) in slots.iter().enumerate() {
+                let t = if i % jobs == 0 {
+                    own_share.next()
+                } else {
+                    lock(slot).take()
+                };
+                states.extend(t);
+            }
+            drop(own_share);
+            assert_eq!(states.len(), n, "round-barrier fan-out lost states");
+            if failed.load(Ordering::Acquire) {
                 break;
             }
-            for (i, t) in states.drain(..).enumerate() {
-                *lock(&slots[i]) = Some(t);
-            }
-            {
-                let mut q = lock(&work);
-                q.clear();
-                q.extend(0..n);
-            }
-            round_no.store(round, Ordering::Release);
-            start.wait();
-            finish.wait();
-            for slot in &slots {
-                if let Some(t) = lock(slot).take() {
-                    states.push(t);
-                }
-            }
-            assert_eq!(states.len(), n, "round-barrier fan-out lost states");
             round += 1;
         }
-        payload = lock(&panicked).take();
     });
-    if let Some(p) = payload {
+    if let Some(p) = panicked.into_inner().unwrap_or_else(|e| e.into_inner()) {
         std::panic::resume_unwind(p);
     }
     states
@@ -448,6 +553,68 @@ mod tests {
         );
         assert_eq!(seen, vec![0, 1, 2, 3]);
         assert_eq!(out, vec![3; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "caller share failed")]
+    fn rounds_caller_share_step_panic_propagates() {
+        // Index 0 is always the caller's own share under the stride.
+        let _ = run_rounds(
+            2,
+            (0..4u32).collect(),
+            |round, _| round < 10,
+            |i, round, _| {
+                if i == 0 && round == 3 {
+                    panic!("caller share failed");
+                }
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "round sync failed")]
+    fn rounds_sync_panic_propagates() {
+        let _ = run_rounds(
+            2,
+            vec![0u8; 4],
+            |round, _| {
+                if round == 3 {
+                    panic!("round sync failed");
+                }
+                true
+            },
+            |_, _, _| {},
+        );
+    }
+
+    /// Many short rounds with a cross-state exchange each barrier: a
+    /// lost wake-up in the round protocol hangs this, and a state
+    /// stepped twice or not at all in a round changes the result.
+    fn many_rounds(jobs: usize, states: usize, rounds: u64) -> Vec<u64> {
+        run_rounds(
+            jobs,
+            (0..states as u64).collect(),
+            |round, states| {
+                let first = states[0];
+                states.rotate_left(1);
+                states[0] ^= first.rotate_left(7);
+                round < rounds
+            },
+            |i, round, s| {
+                *s = s.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64 + round);
+            },
+        )
+    }
+
+    #[test]
+    fn rounds_survive_many_short_rounds_without_lost_wakeups() {
+        for (jobs, states) in [(2, 4), (3, 5), (8, 8)] {
+            assert_eq!(
+                many_rounds(jobs, states, 100_000),
+                many_rounds(1, states, 100_000),
+                "jobs {jobs} over {states} states"
+            );
+        }
     }
 
     #[test]
