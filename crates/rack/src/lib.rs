@@ -6,28 +6,32 @@
 //! through a store-and-forward top-of-rack switch
 //! ([`TorSwitch`]).
 //!
-//! # Epoch-barrier synchronization
+//! # Pipelined epoch rounds
 //!
 //! Cross-host delivery is made deterministic with conservative
 //! lookahead: every path between two hosts crosses the switch, and the
-//! switch adds at least `2 * latency` to any frame, so a host's events
-//! up to time `T` can never be affected by a frame another host
-//! transmits after `T - 2 * latency`. Hosts therefore advance in
-//! epochs of exactly one link latency, stepped in parallel over
-//! [`cdna_sim::par::run_rounds`].
+//! switch adds at least `2 * latency` plus the frame's serialization
+//! to any frame. Hosts advance in epochs of exactly one link latency
+//! `L`, so round `k` simulates `(kL, (k+1)L]` and a frame departing in
+//! it arrives strictly after `(k+2)L` — after the *next* round ends.
+//! Round `k`'s departures therefore need to cross the switch only
+//! before any host starts round `k + 2`, and the rack runs over
+//! [`cdna_sim::par::run_pipelined`]: the serial hand-off of round `k`
+//! overlaps every host stepping round `k + 1`.
 //!
-//! Each host travels between workers as a box holding its simulation
-//! and two mailboxes. A host's step, on whichever worker owns it,
-//! schedules its inbox (the arrivals forwarded at the last barrier, in
-//! forward order), calls the host hook, runs to the end of the epoch,
-//! and drains its uplink egress into its outbox. The serial barrier
-//! then touches only mailboxes and the switch, never a host's
-//! simulation: it pushes every outbox's frames through the switch in a
-//! fixed merge order — `(departure time, source host, capture
-//! sequence)` — and posts the arrivals, always strictly beyond the
-//! barrier, to the destination inboxes. Every host sees the same calls
-//! in the same order at any worker count, so `--jobs 1` and `--jobs N`
-//! produce byte-identical rack reports.
+//! Each host stays on one worker for the whole run and has two inbox
+//! and two outbox [`Mailbox`]es, indexed by round parity. A host's
+//! step in round `r` schedules the arrivals hand-off `r − 2` posted to
+//! `inbox[r % 2]` (in forward order, each asserted to lie strictly
+//! after the host's clock), calls the host hook, runs to the end of
+//! the epoch, and posts its uplink egress to `outbox[r % 2]`.
+//! Hand-off `k`, on the caller's thread, touches only mailboxes and
+//! the switch, never a host's simulation: it pushes the round's
+//! outboxes through the switch in a fixed merge order — `(departure
+//! time, source host, capture sequence)` — and posts the arrivals to
+//! the destination inboxes for round `k + 2`. Every host sees the same
+//! calls in the same order at any worker count, so `--jobs 1` and
+//! `--jobs N` produce byte-identical rack reports.
 //!
 //! # Example
 //!
@@ -48,9 +52,10 @@ pub use switch::{SwitchConfig, SwitchStats, TorSwitch};
 
 use cdna_core::DmaPolicy;
 use cdna_net::MacAddr;
-use cdna_sim::{par, SimTime, Simulation};
+use cdna_sim::par::{self, Mailbox};
+use cdna_sim::{SimTime, Simulation};
 use cdna_system::{
-    report_from_world, Direction, EgressFrame, Event, IoModel, RunReport, SystemWorld,
+    report_from_world, ConfigError, Direction, EgressFrame, Event, IoModel, RunReport, SystemWorld,
     TestbedConfig,
 };
 use cdna_trace::json::JsonWriter;
@@ -136,12 +141,12 @@ impl RackConfig {
             IoModel::Cdna {
                 policy: DmaPolicy::Validated,
             },
-            guests.max(1),
+            guests,
             workload.direction(),
         );
         RackConfig {
-            hosts: hosts.max(1),
-            guests: guests.max(1),
+            hosts,
+            guests,
             nics: base.nics,
             workload,
             seed: base.seed,
@@ -151,6 +156,21 @@ impl RackConfig {
             adversarial: false,
             switch: SwitchConfig::default(),
         }
+    }
+
+    /// Checks that the rack can be built and run: at least one host
+    /// and one guest, a switch the lookahead holds on
+    /// ([`SwitchConfig::validate`]), and a valid per-host testbed
+    /// ([`TestbedConfig::validate`]). The error names the bad field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.hosts == 0 {
+            return Err(ConfigError::Zero { field: "hosts" });
+        }
+        if self.guests == 0 {
+            return Err(ConfigError::Zero { field: "guests" });
+        }
+        self.switch.validate()?;
+        self.host_config(0).validate()
     }
 
     /// Shrinks the simulated window for smoke tests and CI.
@@ -309,17 +329,22 @@ impl RackReport {
     }
 }
 
-/// One host as the epoch loop moves it between workers: boxed, so a
-/// round hands over a pointer rather than the whole simulation, and
-/// the barrier reaches the mailboxes without touching `sim`.
+/// One host, owned by one worker for the whole run.
 struct Host {
     sim: Simulation<SystemWorld>,
-    /// Arrivals forwarded to this host at the last barrier, in forward
-    /// order; scheduled at the start of the host's next step.
-    inbox: Vec<(SimTime, Event)>,
-    /// Uplink egress drained at the end of the host's last step, in
-    /// capture order; routed through the switch at the next barrier.
-    outbox: Vec<EgressFrame>,
+    /// The uplink egress of the host's current step, drained here (a
+    /// buffer reused every round) before it is posted to the outbox.
+    egress: Vec<EgressFrame>,
+}
+
+/// A host's mailboxes, two of each indexed by round parity. Round `r`
+/// schedules `inbox[r % 2]`, which hand-off `r − 2` filled, and posts
+/// its egress to `outbox[r % 2]`, which hand-off `r` empties before
+/// round `r + 2` writes it again.
+#[derive(Default)]
+struct Mail {
+    inbox: [Mailbox<(SimTime, Event)>; 2],
+    outbox: [Mailbox<EgressFrame>; 2],
 }
 
 /// The rack: every host world wrapped in its own simulation, plus the
@@ -399,7 +424,9 @@ impl RackWorld {
 
     /// Like [`RackWorld::run`], but invokes `hook(host, round, sim)`
     /// for every host at the start of each epoch round, *before* the
-    /// host simulates that epoch. This is the rack-level adversarial
+    /// host simulates that epoch and after it has scheduled its inbox:
+    /// the arrivals of frames that departed in round `round − 2` (see
+    /// the crate docs). This is the rack-level adversarial
     /// injection seam (`cdna-fuzz`): a persona perturbs one host's
     /// guest-visible interface between epochs while the other hosts
     /// stay untouched — each hook call sees only its own host, so
@@ -425,60 +452,70 @@ impl RackWorld {
         let epochs = end_ns.div_ceil(epoch_ns);
         let nics = cfg.nics as usize;
 
-        let hosts: Vec<Box<Host>> = hosts
+        let hosts: Vec<Host> = hosts
             .into_iter()
-            .map(|sim| {
-                Box::new(Host {
-                    sim,
-                    inbox: Vec::new(),
-                    outbox: Vec::new(),
-                })
+            .map(|sim| Host {
+                sim,
+                egress: Vec::new(),
             })
             .collect();
-        let mut crossing: Vec<(SimTime, usize, usize, EgressFrame)> = Vec::new();
-        let hosts = par::run_rounds(
+        let mail: Vec<Mail> = hosts.iter().map(|_| Mail::default()).collect();
+        let mail = mail.as_slice();
+        let parity = |round: u64| (round % 2) as usize;
+        let mut crossing: Vec<(SimTime, usize, EgressFrame)> = Vec::new();
+        let hosts = par::run_pipelined(
             jobs,
             hosts,
-            |round, hosts| {
-                if round > 0 {
-                    // Epoch barrier: cross the switch in (departure,
-                    // src host, capture seq) order and post arrivals to
-                    // the destination inboxes. All times here are beyond
-                    // every host's local clock (see crate docs).
-                    for (h, host) in hosts.iter_mut().enumerate() {
-                        for (i, ef) in host.outbox.drain(..).enumerate() {
-                            crossing.push((ef.at, h, i, ef));
-                        }
-                    }
-                    crossing.sort_by_key(|(at, h, i, _)| (*at, *h, *i));
-                    for (at, h, _, ef) in crossing.drain(..) {
-                        let src_port = h * nics + ef.nic;
-                        if let Some((dst_port, deliver)) = switch.forward(at, src_port, &ef.frame) {
-                            hosts[dst_port / nics].inbox.push((
-                                deliver,
-                                Event::WireRxArrive {
-                                    nic: dst_port % nics,
-                                    frame: ef.frame,
-                                },
-                            ));
-                        }
+            epochs,
+            |k| {
+                // Hand-off k: cross the switch in (departure, src host,
+                // capture seq) order — the sort is stable and the
+                // pushes go host by host in capture order — and post
+                // the arrivals for round k + 2 (see crate docs).
+                for (h, m) in mail.iter().enumerate() {
+                    m.outbox[parity(k)].take_each(|ef| crossing.push((ef.at, h, ef)));
+                }
+                crossing.sort_by_key(|(at, h, _)| (*at, *h));
+                for (at, h, ef) in crossing.drain(..) {
+                    let src_port = h * nics + ef.nic;
+                    if let Some((dst_port, deliver)) = switch.forward(at, src_port, &ef.frame) {
+                        mail[dst_port / nics].inbox[parity(k)].post((
+                            deliver,
+                            Event::WireRxArrive {
+                                nic: dst_port % nics,
+                                frame: ef.frame,
+                            },
+                        ));
                     }
                 }
-                round < epochs
             },
-            |h, round, host| {
-                let Host { sim, inbox, outbox } = &mut **host;
-                for (t, e) in inbox.drain(..) {
+            // `move`: the step's captures live in the closure, not on
+            // this frame beside the hand-off's hot `switch` and
+            // `crossing`.
+            move |h, round, host| {
+                let Host { sim, egress } = host;
+                let now = sim.now();
+                mail[h].inbox[parity(round)].take_each(|(t, e)| {
+                    // The one-round lag is sound only while every
+                    // arrival lands strictly after the clock the host
+                    // reached before it: an arrival at or before `now`
+                    // would be reordered behind events already run.
+                    assert!(
+                        t > now,
+                        "rack lookahead violated: host {h} at {now} got an arrival for {t}"
+                    );
                     sim.schedule(t, e);
-                }
+                });
                 hook(h, round, sim);
                 sim.run_until(SimTime::from_ns(((round + 1) * epoch_ns).min(end_ns)));
-                outbox.append(&mut sim.world_mut().drain_egress());
+                sim.world_mut().drain_egress_into(egress);
+                mail[h].outbox[parity(round)].post_all(egress);
             },
         );
 
-        // Arrivals forwarded at the final barrier stay in the inboxes:
-        // no host simulates past the window, so they change no report.
+        // The last two hand-offs' arrivals stay in the inboxes: they
+        // land after the window, so they change no report (the switch
+        // still counts them).
         let per_host: Vec<RunReport> = hosts
             .into_iter()
             .map(|host| {

@@ -10,8 +10,10 @@
 //! ```
 //!
 //! Every scenario is deterministic for a given configuration and seed,
-//! independent of `--jobs`: hosts advance in epoch-barrier lockstep and
+//! independent of `--jobs`: hosts advance in pipelined epoch rounds and
 //! the switch merge order is fixed (see the `cdna_rack` crate docs).
+//! `--hosts 0` and `--guests 0`, like any configuration the rack cannot
+//! run, exit 2 with an error naming the field.
 //! `--stdout` prints the single-scenario rack report JSON instead of
 //! the suite file, which is what the CI equality guard diffs across
 //! worker counts.
@@ -193,7 +195,7 @@ fn main() {
     };
 
     for cfg in &scenarios {
-        if let Err(e) = cfg.host_config(0).validate() {
+        if let Err(e) = cfg.validate() {
             eprintln!("invalid configuration: {e}");
             std::process::exit(2);
         }

@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 
 use cdna_net::{Frame, MacAddr};
 use cdna_sim::SimTime;
+use cdna_system::ConfigError;
 
 /// Link and fabric timing for the top-of-rack switch.
 #[derive(Debug, Clone, Copy)]
@@ -22,12 +23,32 @@ pub struct SwitchConfig {
     /// One-way link latency (propagation plus PHY/processing) between a
     /// host uplink and the switch fabric. Also the rack's conservative
     /// lookahead window: hosts advance in epochs of exactly this
-    /// length, and a frame crossing the switch always arrives at least
-    /// one full epoch after the epoch it departed in.
+    /// length, and a frame crossing the switch always arrives after the
+    /// end of the epoch that follows the one it departed in.
     pub latency: SimTime,
     /// Egress serialization rate in nanoseconds per byte (8 ns/B is
     /// 1 Gb/s, matching the hosts' [`cdna_net::GigabitWire`]).
     pub ns_per_byte: u64,
+}
+
+impl SwitchConfig {
+    /// Checks the timing the rack's lookahead rests on: a frame must
+    /// take strictly longer than two link latencies to cross (see
+    /// [`TorSwitch::forward`]), which needs a non-zero latency and a
+    /// non-zero serialization rate.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.latency == SimTime::ZERO {
+            return Err(ConfigError::Zero {
+                field: "switch.latency",
+            });
+        }
+        if self.ns_per_byte == 0 {
+            return Err(ConfigError::Zero {
+                field: "switch.ns_per_byte",
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for SwitchConfig {
@@ -95,9 +116,11 @@ impl TorSwitch {
     }
 
     /// Learns `mac` as reachable through `port`, counting only new or
-    /// moved entries.
+    /// moved entries. An unchanged entry (every frame of a preloaded
+    /// station) is only looked up.
     pub fn learn(&mut self, mac: MacAddr, port: usize) {
-        if self.mac_table.insert(mac, port) != Some(port) {
+        if self.mac_table.get(&mac) != Some(&port) {
+            self.mac_table.insert(mac, port);
             self.stats.learned += 1;
         }
     }
@@ -108,8 +131,9 @@ impl TorSwitch {
     /// destination is unknown.
     ///
     /// The returned delivery time is always at least
-    /// `departed + 2 * latency`, which is what makes latency-sized
-    /// epochs a safe lookahead window.
+    /// `departed + 2 * latency` plus the frame's serialization, which
+    /// is what lets the rack hand a latency-sized epoch's departures
+    /// off one round late (see the `cdna_rack` crate docs).
     pub fn forward(
         &mut self,
         departed: SimTime,

@@ -3,7 +3,7 @@
 
 use cdna_rack::{run_rack, RackConfig, RackWorkload};
 use cdna_sim::SimTime;
-use cdna_system::run_experiment;
+use cdna_system::{run_experiment, ConfigError};
 
 /// A rack small enough for debug-mode CI but with real cross-host
 /// traffic.
@@ -21,6 +21,61 @@ fn jobs_one_and_many_are_byte_identical() {
     let a = run_rack(small_xhost(3, 2), 1).to_json();
     let b = run_rack(small_xhost(3, 2), 3).to_json();
     assert_eq!(a, b, "rack report depends on worker count");
+}
+
+/// Host counts that are not a multiple of the worker count give the
+/// workers unequal shares, so one waits on the other every round.
+#[test]
+fn uneven_host_shares_are_byte_identical_to_jobs_one() {
+    for (hosts, guests, jobs) in [(3, 12, 2), (4, 6, 3)] {
+        let mut cfg = small_xhost(hosts, guests);
+        cfg.warmup = SimTime::from_ms(3);
+        cfg.measure = SimTime::from_ms(12);
+        assert_eq!(
+            run_rack(cfg.clone(), 1).to_json(),
+            run_rack(cfg, jobs).to_json(),
+            "{hosts}h x {guests}g depends on jobs {jobs}"
+        );
+    }
+}
+
+#[test]
+fn unrunnable_racks_name_the_bad_field() {
+    let ok = RackConfig::new(2, 4, RackWorkload::XHost);
+    assert_eq!(ok.validate(), Ok(()));
+    let zero = |field| Err(ConfigError::Zero { field });
+    assert_eq!(
+        RackConfig::new(0, 4, RackWorkload::XHost).validate(),
+        zero("hosts")
+    );
+    assert_eq!(
+        RackConfig::new(2, 0, RackWorkload::TxPeer).validate(),
+        zero("guests")
+    );
+    let mut no_latency = ok.clone();
+    no_latency.switch.latency = SimTime::ZERO;
+    assert_eq!(no_latency.validate(), zero("switch.latency"));
+    let mut no_serialization = ok;
+    no_serialization.switch.ns_per_byte = 0;
+    assert_eq!(no_serialization.validate(), zero("switch.ns_per_byte"));
+    assert!(matches!(
+        RackConfig::new(2, 32, RackWorkload::XHost).validate(),
+        Err(ConfigError::TooLarge {
+            field: "guests",
+            ..
+        })
+    ));
+}
+
+/// A switch that delivers within the epoch after departure breaks the
+/// one-round lag; the rack must stop rather than reorder events.
+#[test]
+#[should_panic(expected = "rack lookahead violated")]
+fn a_switch_without_lookahead_trips_the_inbox_assertion() {
+    let mut cfg = small_xhost(2, 1);
+    cfg.switch.latency = SimTime::ZERO;
+    cfg.switch.ns_per_byte = 0;
+    let _ = run_rack(cfg, 1);
 }
 
 #[test]

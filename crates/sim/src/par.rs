@@ -29,10 +29,12 @@
 //!   to the caller when the scope joins.
 //!
 //! [`run_rounds`] is the second shape: a fixed set of states stepped in
-//! lockstep rounds with a serial barrier between them (the rack's
-//! epoch loop). Its rounds last microseconds, so it trades the queue
-//! for a fixed stride and a spin-then-park barrier in which the caller
-//! is worker 0 (see its docs).
+//! lockstep rounds with a serial barrier between them. Its rounds last
+//! microseconds, so it trades the queue for a fixed stride and a
+//! spin-then-park barrier in which the caller is worker 0 (see its
+//! docs). [`run_pipelined`] is the third, and the rack's epoch loop:
+//! the same stride, with the serial step lagging one round behind the
+//! stepping, so no worker waits at every round.
 //!
 //! Worker threads are *not* simulation threads: nothing here touches
 //! [`crate::SimTime`] or the event queue. The pool is plain wall-clock
@@ -219,12 +221,13 @@ fn wait_until(spins: u32, ready: impl Fn() -> bool) {
     }
 }
 
-/// Stops the [`run_rounds`] helpers when dropped: sets `stop`, bumps
-/// the round generation past the one the helpers last saw, and unparks
-/// them. It drops on the normal exit and also when the caller unwinds
-/// out of `sync` or out of its own share of a round, so a panic on the
-/// caller's thread cannot leave helpers waiting for a round that never
-/// comes (and the scope join waiting on them).
+/// Stops the [`run_rounds`] or [`run_pipelined`] helpers when dropped:
+/// sets `stop`, bumps the counter they wait on past the value they last
+/// saw, and unparks them. It drops on the normal exit and also when the
+/// caller unwinds out of `sync`/`handoff` or out of its own share of a
+/// round, so a panic on the caller's thread cannot leave helpers
+/// waiting for a round that never comes (and the scope join waiting on
+/// them).
 struct Shutdown<'a> {
     stop: &'a AtomicBool,
     generation: &'a AtomicU64,
@@ -243,8 +246,9 @@ impl Drop for Shutdown<'_> {
 
 /// Runs `states` through repeated *rounds* of parallel stepping with a
 /// serial barrier between rounds — the conservative epoch-barrier
-/// pattern `cdna-rack` uses to advance N independent host simulations
-/// in lookahead windows.
+/// pattern, for rounds that need the previous round's exchange. When
+/// the exchange may lag a round, as in `cdna-rack`, [`run_pipelined`]
+/// waits less.
 ///
 /// Each iteration first calls `sync(round, &mut states)` on the
 /// caller's thread with every state at the same logical round — the
@@ -409,6 +413,300 @@ where
         std::panic::resume_unwind(p);
     }
     states
+}
+
+/// A value alone on a 128-byte line pair, so a store to it does not
+/// invalidate the line another worker spins on (x86 prefetches lines
+/// in adjacent pairs).
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct Padded<T>(T);
+
+/// The caller's side of a [`run_pipelined`] run, which every helper
+/// polls before each round: hand-offs run so far, and whether to stop.
+#[derive(Debug, Default)]
+struct Release {
+    handed: AtomicU64,
+    stop: AtomicBool,
+}
+
+/// A mailbox slot that a [`run_pipelined`] step and hand-off pass
+/// items through: a locked `Vec` plus a "non-empty" flag, so draining
+/// an empty slot never touches the lock. Padded to its own line pair
+/// (see `Padded`), as slots of different states are written from
+/// different workers.
+#[repr(align(128))]
+#[derive(Debug)]
+pub struct Mailbox<T> {
+    /// Whether `items` is non-empty, set and cleared under the lock. It
+    /// only lets a take skip the lock: the items are published by the
+    /// mutex, and its Release set pairs with the take's Acquire read.
+    full: AtomicBool,
+    items: Mutex<Vec<T>>,
+}
+
+impl<T> Default for Mailbox<T> {
+    fn default() -> Self {
+        Mailbox {
+            full: AtomicBool::new(false),
+            items: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<T> Mailbox<T> {
+    /// Appends one item.
+    pub fn post(&self, item: T) {
+        let mut items = lock(&self.items);
+        items.push(item);
+        self.full.store(true, Ordering::Release);
+    }
+
+    /// Moves every item out of `items`, in order, leaving it empty with
+    /// its capacity. An empty `items` does not lock the slot.
+    pub fn post_all(&self, items: &mut Vec<T>) {
+        if !items.is_empty() {
+            let mut slot = lock(&self.items);
+            slot.append(items);
+            self.full.store(true, Ordering::Release);
+        }
+    }
+
+    /// Hands every item to `f` in the order it arrived and empties the
+    /// slot. An empty slot is not locked. `f` runs outside the lock, so
+    /// it may post to other mailboxes; the emptied buffer then goes
+    /// back into the slot, which keeps its capacity.
+    pub fn take_each(&self, f: impl FnMut(T)) {
+        if self.full.load(Ordering::Acquire) {
+            let mut taken = {
+                let mut items = lock(&self.items);
+                self.full.store(false, Ordering::Relaxed);
+                std::mem::take(&mut *items)
+            };
+            taken.drain(..).for_each(f);
+            let mut items = lock(&self.items);
+            if items.is_empty() {
+                *items = taken;
+            }
+        }
+    }
+}
+
+/// Runs `rounds` rounds of `step(index, round, &mut state)` over
+/// `states`, with a serial `handoff(k)` per round that lags one round
+/// behind the stepping — the pipelined form of [`run_rounds`] that
+/// `cdna-rack` uses when a round's output is not needed until two
+/// rounds later.
+///
+/// `handoff(k)` runs on the caller's thread exactly once for every
+/// `k` in `0..rounds`, in order, after every state has finished round
+/// `k` and before any state starts round `k + 2`. So round `k + 1`
+/// steps while round `k` is handed off, and a state may read in round
+/// `r` whatever `handoff(r − 2)` delivered. Steps and hand-offs share
+/// data only through storage both can reach — typically per-state
+/// [`Mailbox`]es indexed by round parity, which two of each suffice
+/// for: round `r` writes slot `r % 2`, which `handoff(r)` empties
+/// before round `r + 2` writes it again. The last two hand-offs run
+/// after the last round.
+///
+/// Determinism: each `step` sees only its own state, and the
+/// hand-offs run serially in round order, so the outcome is
+/// independent of `jobs` — `jobs = 1` runs the protocol inline
+/// (hand-off `r − 2`, then round `r` for every state) and `jobs = N`
+/// produce identical final states.
+///
+/// * **Permanent ownership.** The caller is worker 0 and `jobs − 1`
+///   helper threads are the rest; worker `w` owns the states with
+///   `index % jobs == w` for the whole run, so no state moves between
+///   rounds.
+/// * **Progress counters, not a barrier.** Each helper publishes the
+///   rounds it has finished, and the caller the hand-offs it has run,
+///   each counter on its own cache line. A helper waits before round
+///   `r` only until `handoff(r − 2)` is done; the caller runs
+///   `handoff(r − 2)` just before its own round `r`, waiting only until
+///   every helper has finished round `r − 2`. A worker therefore waits
+///   only when another is a whole round behind. Waits spin, then park,
+///   as in [`run_rounds`].
+///
+/// A panic in a helper's `step` is caught, stops the run, and is
+/// re-raised on the caller's thread. A panic on the caller's thread —
+/// in `handoff` or in its own share of `step` — unwinds directly, and
+/// a drop guard releases the helpers first.
+///
+/// # Example
+///
+/// ```
+/// use cdna_sim::par::{run_pipelined, Mailbox};
+///
+/// // Every round each state posts its value; hand-off k moves round
+/// // k's posts one state to the right, and round k + 2 adds them.
+/// fn ring(jobs: usize) -> Vec<u64> {
+///     let posts: Vec<[Mailbox<u64>; 2]> = (0..3).map(|_| Default::default()).collect();
+///     let inbox: Vec<[Mailbox<u64>; 2]> = (0..3).map(|_| Default::default()).collect();
+///     let parity = |round: u64| (round % 2) as usize;
+///     run_pipelined(
+///         jobs,
+///         vec![1, 10, 100],
+///         6,
+///         |k| {
+///             for (i, post) in posts.iter().enumerate() {
+///                 post[parity(k)].take_each(|v| inbox[(i + 1) % 3][parity(k)].post(v));
+///             }
+///         },
+///         |i, round, s| {
+///             inbox[i][parity(round)].take_each(|v| *s += v);
+///             posts[i][parity(round)].post(*s);
+///         },
+///     )
+/// }
+/// assert_eq!(ring(2), ring(1));
+/// ```
+pub fn run_pipelined<T, H, F>(
+    jobs: usize,
+    states: Vec<T>,
+    rounds: u64,
+    mut handoff: H,
+    step: F,
+) -> Vec<T>
+where
+    T: Send,
+    H: FnMut(u64),
+    F: Fn(usize, u64, &mut T) + Sync,
+{
+    let n = states.len();
+    let jobs = jobs.clamp(1, n.max(1));
+    // The hand-offs of the last two rounds have no later round to
+    // overlap with.
+    let tail = rounds.saturating_sub(2)..rounds;
+    if jobs == 1 {
+        let mut states = states;
+        for round in 0..rounds {
+            if round >= 2 {
+                handoff(round - 2);
+            }
+            for (i, t) in states.iter_mut().enumerate() {
+                step(i, round, t);
+            }
+        }
+        tail.for_each(handoff);
+        return states;
+    }
+
+    // As in `run_rounds`: with more workers than cores, park at once.
+    let spins = if jobs <= available_jobs() {
+        SPIN_LIMIT
+    } else {
+        0
+    };
+    // Everything a helper touches every round sits on cache lines of
+    // its own (see `Padded`), away from the caller's stack slots that
+    // change every round: its states, its progress counter, the
+    // caller's `Release`, and the `step` closure with its captures.
+    let mut shares: Vec<Vec<Padded<(usize, T)>>> = (0..jobs)
+        .map(|_| Vec::with_capacity(n.div_ceil(jobs)))
+        .collect();
+    for (i, t) in states.into_iter().enumerate() {
+        shares[i % jobs].push(Padded((i, t)));
+    }
+    let mut own = std::mem::take(&mut shares[0]);
+    // Rounds helper `w` has finished, at `finished[w]` (entry 0 unused).
+    let finished: Vec<Padded<AtomicU64>> = (0..jobs).map(|_| Padded::default()).collect();
+    let release = Padded(Release::default());
+    let step = Padded(step);
+    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let failed = AtomicBool::new(false);
+    let caller = std::thread::current();
+
+    let mut all: Vec<Padded<(usize, T)>> = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = shares
+            .into_iter()
+            .enumerate()
+            .skip(1)
+            .map(|(w, mut share)| {
+                let (finished, Release { handed, stop }) = (&finished[w].0, &release.0);
+                let (panicked, failed, step) = (&panicked, &failed, &step.0);
+                let caller = caller.clone();
+                scope.spawn(move || {
+                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        for round in 0..rounds {
+                            // Round r may read what handoff(r − 2) delivered.
+                            wait_until(spins, || {
+                                handed.load(Ordering::Acquire) + 1 >= round
+                                    || stop.load(Ordering::Acquire)
+                            });
+                            if stop.load(Ordering::Acquire) {
+                                return;
+                            }
+                            for Padded((i, t)) in &mut share {
+                                step(*i, round, t);
+                            }
+                            finished.store(round + 1, Ordering::Release);
+                            caller.unpark();
+                        }
+                    }));
+                    if let Err(p) = caught {
+                        *lock(panicked) = Some(p);
+                        failed.store(true, Ordering::Release);
+                        caller.unpark();
+                    }
+                    share
+                })
+            })
+            .collect();
+        let shutdown = Shutdown {
+            stop: &release.0.stop,
+            generation: &release.0.handed,
+            helpers: helpers.iter().map(|h| h.thread().clone()).collect(),
+        };
+        // Runs handoff(k) once every helper has finished round k;
+        // `false` if a helper failed instead.
+        let mut hand = |k: u64| {
+            wait_until(spins, || {
+                failed.load(Ordering::Acquire)
+                    || finished[1..]
+                        .iter()
+                        .all(|f| f.0.load(Ordering::Acquire) > k)
+            });
+            if failed.load(Ordering::Acquire) {
+                return false;
+            }
+            handoff(k);
+            release.0.handed.store(k + 1, Ordering::Release);
+            for h in &shutdown.helpers {
+                h.unpark();
+            }
+            true
+        };
+        'run: {
+            for round in 0..rounds {
+                if round >= 2 && !hand(round - 2) {
+                    break 'run;
+                }
+                for Padded((i, t)) in &mut own {
+                    step.0(*i, round, t);
+                }
+            }
+            for k in tail {
+                if !hand(k) {
+                    break 'run;
+                }
+            }
+        }
+        drop(shutdown);
+        for h in helpers {
+            match h.join() {
+                Ok(share) => all.extend(share),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    if let Some(p) = panicked.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        std::panic::resume_unwind(p);
+    }
+    all.append(&mut own);
+    all.sort_unstable_by_key(|state| state.0 .0);
+    all.into_iter().map(|Padded((_, t))| t).collect()
 }
 
 #[cfg(test)]
@@ -629,6 +927,164 @@ mod tests {
                     panic!("round step failed");
                 }
             },
+        );
+    }
+
+    /// The rack's shape over `n` states: round `r` folds in what
+    /// hand-off `r − 2` delivered, advances, and posts to its parity
+    /// slot (skipping some rounds, so empty slots occur); hand-off `k`
+    /// moves round `k`'s posts one state to the right. A hand-off that
+    /// runs early misses a post, and one that runs late lets a round
+    /// miss its delivery: either changes the result.
+    fn pipelined_ring(jobs: usize, n: usize, rounds: u64) -> Vec<u64> {
+        let posts: Vec<[Mailbox<u64>; 2]> = (0..n).map(|_| Default::default()).collect();
+        let inbox: Vec<[Mailbox<u64>; 2]> = (0..n).map(|_| Default::default()).collect();
+        let parity = |round: u64| (round % 2) as usize;
+        run_pipelined(
+            jobs,
+            (0..n as u64).collect(),
+            rounds,
+            |k| {
+                for (i, post) in posts.iter().enumerate() {
+                    post[parity(k)].take_each(|v| inbox[(i + 1) % n][parity(k)].post(v));
+                }
+            },
+            |i, round, s| {
+                inbox[i][parity(round)].take_each(|v| *s ^= v.rotate_left(7));
+                *s = s.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64 + round);
+                if *s % 3 != 0 {
+                    posts[i][parity(round)].post(*s);
+                }
+            },
+        )
+    }
+
+    #[test]
+    fn pipelined_survives_many_short_rounds_without_lost_wakeups() {
+        for (jobs, states) in [(2, 4), (3, 5), (8, 8)] {
+            assert_eq!(
+                pipelined_ring(jobs, states, 100_000),
+                pipelined_ring(1, states, 100_000),
+                "jobs {jobs} over {states} states"
+            );
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Mark {
+        Start(usize, u64),
+        End(usize, u64),
+        HandStart(u64),
+        HandEnd(u64),
+    }
+
+    #[test]
+    fn pipelined_handoffs_run_once_in_order_between_rounds_k_and_k_plus_two() {
+        let n = 5;
+        for (jobs, rounds) in [
+            (1, 40),
+            (2, 0),
+            (2, 1),
+            (2, 2),
+            (2, 300),
+            (3, 300),
+            (5, 300),
+        ] {
+            let trace = Mutex::new(Vec::new());
+            run_pipelined(
+                jobs,
+                vec![0u64; n],
+                rounds,
+                |k| {
+                    lock(&trace).push(Mark::HandStart(k));
+                    lock(&trace).push(Mark::HandEnd(k));
+                },
+                |i, r, s| {
+                    lock(&trace).push(Mark::Start(i, r));
+                    *s = std::hint::black_box(s.wrapping_add(r));
+                    lock(&trace).push(Mark::End(i, r));
+                },
+            );
+            let trace = trace.into_inner().unwrap_or_else(|e| e.into_inner());
+            let at = |m: Mark| {
+                let found = trace.iter().position(|x| *x == m);
+                assert!(found.is_some(), "jobs {jobs}: {m:?} never happened");
+                found.unwrap_or(0)
+            };
+            let handoffs: Vec<u64> = trace
+                .iter()
+                .filter_map(|m| match m {
+                    Mark::HandStart(k) => Some(*k),
+                    Mark::HandEnd(_) | Mark::Start(..) | Mark::End(..) => None,
+                })
+                .collect();
+            assert_eq!(handoffs, (0..rounds).collect::<Vec<_>>(), "jobs {jobs}");
+            for k in 0..rounds {
+                let (start, end) = (at(Mark::HandStart(k)), at(Mark::HandEnd(k)));
+                for i in 0..n {
+                    assert!(
+                        at(Mark::End(i, k)) < start,
+                        "jobs {jobs}: handoff {k} before state {i} finished round {k}"
+                    );
+                    if k + 2 < rounds {
+                        assert!(
+                            end < at(Mark::Start(i, k + 2)),
+                            "jobs {jobs}: state {i} started round {} during handoff {k}",
+                            k + 2
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pipelined caller share failed")]
+    fn pipelined_caller_share_step_panic_propagates() {
+        // Index 0 is always the caller's own share under the stride.
+        let _ = run_pipelined(
+            2,
+            (0..4u32).collect(),
+            10,
+            |_| {},
+            |i, round, _| {
+                if i == 0 && round == 3 {
+                    panic!("pipelined caller share failed");
+                }
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pipelined helper share failed")]
+    fn pipelined_helper_share_step_panic_propagates() {
+        // Index 1 is helper 1's; helper 2 must be released too.
+        let _ = run_pipelined(
+            3,
+            (0..6u32).collect(),
+            10,
+            |_| {},
+            |i, round, _| {
+                if i == 1 && round == 3 {
+                    panic!("pipelined helper share failed");
+                }
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pipelined handoff failed")]
+    fn pipelined_handoff_panic_propagates() {
+        let _ = run_pipelined(
+            3,
+            (0..6u32).collect(),
+            10,
+            |k| {
+                if k == 4 {
+                    panic!("pipelined handoff failed");
+                }
+            },
+            |_, _, _| {},
         );
     }
 }

@@ -812,7 +812,7 @@ impl SystemWorld {
     /// Marks this world as one host of a multi-host rack: transmitted
     /// frames whose destination MAC does not terminate on this host are
     /// captured into the egress buffer (see
-    /// [`SystemWorld::drain_egress`]) for the rack's top-of-rack switch
+    /// [`SystemWorld::drain_egress_into`]) for the rack's top-of-rack switch
     /// instead of sinking at the local peer.
     pub fn enable_uplink(&mut self) {
         let mut local = std::collections::BTreeSet::new();
@@ -837,10 +837,11 @@ impl SystemWorld {
         self.remote_dst = dst;
     }
 
-    /// Takes the frames captured at the uplink since the last drain,
-    /// in wire-completion order.
-    pub fn drain_egress(&mut self) -> Vec<EgressFrame> {
-        std::mem::take(&mut self.egress)
+    /// Appends the frames captured at the uplink since the last drain
+    /// to `out`, in wire-completion order. Both buffers keep their
+    /// capacity, so a caller that drains every epoch stops allocating.
+    pub fn drain_egress_into(&mut self, out: &mut Vec<EgressFrame>) {
+        out.append(&mut self.egress);
     }
 
     /// The destination MAC a frame must carry to reach `guest` on
